@@ -23,13 +23,13 @@
 # counters into its ObsRegistry slot) at pool widths 1/2/8, plus the
 # `delta`-labeled suites — the live-graph step-wise differential harness
 # runs overlay merge views through the parallel engine at pool widths
-# 1/2/8, and dynamic_graph_test's concurrent-const-reads regression (the
-# lazy-cache rebuild race) only means something under TSAN, plus the
-# `net`-labeled suites — the epoll server splits every request across
-# three threads (event loop, dispatch worker, back through the loop via
-# the completion queue), the background CompactionScheduler races a live
-# overlay writer, and the socket chaos soak runs all of it against
-# hot-swaps at once; the rest of the
+# 1/2/8, a background Compactor races a live overlay writer, and
+# dynamic_graph_test's concurrent-const-reads regression (the lazy-cache
+# rebuild race) only means something under TSAN, plus the `net`-labeled
+# suites — the epoll server splits every request across three threads
+# (event loop, dispatch worker, back through the loop via the completion
+# queue), and the socket chaos soak runs all of it against hot-swaps at
+# once; the rest of the
 # test matrix is single-threaded and covered by the regular tier1 job.
 #
 # The race-sensitive labels then run a SECOND leg with MRPA_FORCE_SCALAR=1:

@@ -103,7 +103,7 @@ BackwardLevelCache::BackwardLevelCache(const EdgeUniverse& universe,
   length_.assign(universe.num_vertices(), 0);
 }
 
-std::span<const EdgeIndex> BackwardLevelCache::MatchedInEdges(VertexId v) {
+std::span<const Edge> BackwardLevelCache::MatchedRun(VertexId v) {
   assert(v < offset_.size());
   if (offset_[v] == kUnset) {
     const uint32_t start = static_cast<uint32_t>(pool_.size());
@@ -114,8 +114,10 @@ std::span<const EdgeIndex> BackwardLevelCache::MatchedInEdges(VertexId v) {
         idx_buf_.resize(run.size());
         const size_t matched = frontier::Active().intersect_bitmap(
             run.data(), run.size(), match_bits_.words(), idx_buf_.data());
-        pool_.insert(pool_.end(), idx_buf_.begin(),
-                     idx_buf_.begin() + static_cast<ptrdiff_t>(matched));
+        const std::span<const Edge> all = universe_.AllEdges();
+        for (size_t i = 0; i < matched; ++i) {
+          pool_.push_back(all[idx_buf_[i]]);
+        }
       }
     }
     offset_[v] = start;

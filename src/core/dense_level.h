@@ -1,31 +1,27 @@
 // Dense-level expansion caches: the per-level machinery behind the adaptive
-// sparse/dense switch in the governed folds (DESIGN.md "Dense-frontier
-// execution").
+// sparse/dense switch in the fold kernel (core/fold_kernel.h; DESIGN.md
+// "Dense-frontier execution").
 //
 // When a level goes dense, the step pattern's id constraints are lowered
 // ONCE into allow-bitmaps (frontier/bitmap.h), and each distinct frontier
 // vertex's matched run is computed ONCE with the dispatched SIMD filter
-// kernels and memoized. The fold then replays the frontier against the
+// kernels and memoized. The kernel then replays the frontier against the
 // memo — the guard sequence (hard-limit, ChargePaths, CheckStep,
 // ChargeBytes) is untouched, so governed output stays byte-identical to the
 // sparse walk; only the per-edge Matches work is amortized.
 //
-// Two directions, two caches:
+// One cache per fold direction, with one interface — MatchedRun(v), the
+// exact edge sequence the kernel's sparse walk from v would yield:
 //
 //   * ForwardLevelCache — matched OUT-edges per tail vertex, in out-run
-//     (label, head) order: the exact sequence ForEachMatchingOutEdge
-//     yields. Backs FoldJoin and the parallel shard fold.
-//   * BackwardLevelCache — matched IN-edge indices per head vertex,
-//     ascending: the subsequence of InEdgeIndices(v) whose edges match.
-//     Backs the chain planner's backward evaluator, whose replay must also
-//     visit the NON-matching candidates (CheckStep fires per candidate
-//     there), so this cache exposes the matched subsequence for a
-//     two-pointer walk rather than a pre-filtered run.
+//     (label, head) order: what ForEachMatchingOutEdge yields.
+//   * BackwardLevelCache — matched IN-edges per head vertex, in in-index
+//     (canonical edge) order.
 //
 // Caches are per (universe, step, level) and single-threaded, like the
-// PathArena they sit beside. Spans returned by MatchedRun/MatchedInEdges
-// are invalidated by the next call on the same cache (a miss may grow the
-// backing pool); consume before re-calling.
+// PathArena they sit beside. Spans returned by MatchedRun are invalidated
+// by the next call on the same cache (a miss may grow the backing pool);
+// consume before re-calling.
 
 #ifndef MRPA_CORE_DENSE_LEVEL_H_
 #define MRPA_CORE_DENSE_LEVEL_H_
@@ -98,10 +94,10 @@ class BackwardLevelCache {
  public:
   BackwardLevelCache(const EdgeUniverse& universe, const EdgePattern& step);
 
-  // The subsequence of universe.InEdgeIndices(v) whose edges match the
-  // step, ascending. Memoized per head vertex; the span is invalidated by
-  // the next MatchedInEdges call.
-  std::span<const EdgeIndex> MatchedInEdges(VertexId v);
+  // The in-edges of `v` matching the step, in InEdgeIndices(v) order.
+  // Memoized per head vertex; the span is invalidated by the next
+  // MatchedRun call.
+  std::span<const Edge> MatchedRun(VertexId v);
 
   uint64_t build_words() const { return build_words_; }
 
@@ -118,8 +114,8 @@ class BackwardLevelCache {
 
   std::vector<uint32_t> offset_;
   std::vector<uint32_t> length_;
-  std::vector<EdgeIndex> pool_;
-  std::vector<uint32_t> idx_buf_;
+  std::vector<Edge> pool_;          // memoized matched runs, concatenated
+  std::vector<uint32_t> idx_buf_;  // scratch for the filter kernels
 };
 
 }  // namespace mrpa

@@ -1,61 +1,60 @@
 #include "core/traversal.h"
 
-#include <chrono>
+#include <algorithm>
 #include <limits>
-#include <optional>
 #include <utility>
 
-#include "core/dense_level.h"
+#include "core/fold_kernel.h"
 #include "core/path_arena.h"
-#include "frontier/bitmap.h"
 #include "obs/obs.h"
 
 namespace mrpa {
 
 namespace {
 
-// Left-to-right fold of ⋈◦ over per-step edge sets, threaded through the
-// execution guard and run ARENA-NATIVE: the frontier is a vector of
-// PathNodeIds into a prefix-sharing PathArena (core/path_arena.h), so each
-// extension is one 16-byte node push instead of a full prefix copy, and the
-// result set is materialized once at the end. Iterating with an
-// adjacency-aware extension (rather than repeatedly calling the generic
-// join) keeps this O(paths · out-degree) — and the arena makes the work per
-// extension O(1) instead of O(level).
+// The governed fold of ⋈◦ over per-step edge sets, from either end of the
+// chain, run ARENA-NATIVE: the frontier is a vector of PathNodeIds into a
+// prefix-sharing PathArena (core/path_arena.h), so each extension is one
+// 16-byte node push instead of a full prefix copy, and the result set is
+// materialized once at the end. Each level's body — strategy choice and
+// per-source expansion under the guard sequence — is the fold kernel
+// (core/fold_kernel.h), shared with the parallel shard speculation.
 //
-// Frontier node ids are appended in canonical order: the previous level is
-// iterated in canonical order and ForEachMatchingOutEdge visits out-runs in
-// (label, head) order, so same-length extensions preserve prefix order.
-// Distinct parents and distinct edges also make every staged path unique.
-// The final materialization is therefore adopted via
+// Forward (the §III fold): frontier node ids are appended in canonical
+// order — the previous level is iterated in canonical order and out-runs
+// are visited in (label, head) order, so same-length extensions preserve
+// prefix order, and distinct parents and distinct edges make every staged
+// path unique. The final materialization adopts via
 // PathSet::FromSortedUnique — no sort, no dedup.
+//
+// Backward: frontier nodes chain SUFFIXES (a node's edge is the first edge
+// of its path), so extending at the tail is one node push and γ−(p) is one
+// load. Tail extensions do not preserve canonical order (the new edge
+// varies at the FRONT of the path), so each level is re-sorted with
+// CompareSuffix (front-first, without materializing). Suffixes are distinct
+// by construction, so there is no dedup pass either.
 //
 // Two failure regimes coexist:
 //   * limits.max_paths (the pre-governance API) stays a hard error — the
 //     whole evaluation returns ResourceExhausted with no partial result.
 //   * ctx budgets trip gracefully — the fold stops and reports whatever
 //     full-length paths it already yielded, flagged `truncated`.
-// The path budget is charged only for full-length (final level) paths, so a
-// budget of k yields the k first full-length paths in canonical order —
-// the same prefix StepPathIterator yields under the same budget. The byte
-// budget is charged the exact arena cost: PathArena::kNodeBytes per staged
-// extension (batched per source path, like the step charge).
-// Each level additionally picks an execution strategy — the PR 3 sparse
-// walk or the dense bitmap-memoized replay (core/dense_level.h) — via the
-// DensityPolicy. The choice cannot affect governed output: the dense path
-// feeds the exact edge sequence ForEachMatchingOutEdge would yield through
-// the same guard lambda, so every guard call (count, order, arguments) is
-// preserved, and the differential suite proves byte-identity across
-// forced-sparse / forced-dense / auto on every dispatch tier.
-Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
-                                 const std::vector<EdgePattern>& steps,
-                                 const PathSetLimits& limits,
-                                 const frontier::DensityPolicy& base_policy,
-                                 ExecContext& ctx) {
+// The path budget is charged only for full-length (final level) paths, so
+// a forward budget of k yields the k first full-length paths in canonical
+// order — the same prefix StepPathIterator yields under the same budget.
+// The byte budget is charged the exact arena cost: PathArena::kNodeBytes per
+// staged extension.
+template <ChainDirection kEnd>
+Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
+                             const std::vector<EdgePattern>& steps,
+                             const PathSetLimits& limits,
+                             const frontier::DensityPolicy& base_policy,
+                             ExecContext& ctx) {
+  constexpr bool kForward = kEnd == ChainDirection::kForward;
   GovernedPathSet out;
   // Observability is boundary-only: snapshot the guard on entry, flush the
   // deltas (and the run's breakdown) once on every graceful exit. With no
-  // registry attached, the fold below runs its PR 3 hot loops unchanged.
+  // registry attached, the fold below runs its hot loops unchanged.
   obs::ObsRegistry* const reg = ctx.observer();
   ExecStats obs_before;
   if (reg != nullptr) obs_before = ctx.Snapshot();
@@ -80,43 +79,44 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
   const size_t hard_limit =
       limits.max_paths.value_or(std::numeric_limits<size_t>::max());
   const size_t last_level = steps.size() - 1;
+  // The step that extends level k (level 0 is the seed).
+  auto step_at = [&](size_t k) -> const EdgePattern& {
+    return kForward ? steps[k] : steps[last_level - k];
+  };
   Status trip;
 
   PathArena arena;
   std::vector<PathNodeId> frontier;
   std::vector<PathNodeId> next;
 
-  // Adaptive strategy state. With traversal history in the registry, the
-  // auto thresholds are re-anchored on the observed level widths (the PR 7
-  // calibration loop); the head-frontier bitmap is reused level-to-level so
-  // the decision probe allocates once per run.
+  // With traversal history in the registry, the auto thresholds are
+  // re-anchored on the observed level widths.
   frontier::DensityPolicy policy = base_policy;
   if (reg != nullptr && policy.mode == frontier::DensityMode::kAuto) {
     policy = frontier::CalibrateDensityPolicy(
         policy, reg, universe.num_vertices(), universe.num_edges());
   }
-  frontier::BitmapFrontier head_seen;
-  size_t dense_levels = 0;
-  size_t sparse_levels = 0;
-  uint64_t frontier_words = 0;
+  FoldKernel<kEnd> kernel(universe, arena, ctx, policy, hard_limit, reg);
 
-  ExecSpan run_span(ctx, "traverse");
+  ExecSpan run_span(ctx, kForward ? "traverse" : "chain.backward");
   size_t seed_edges = 0;
   size_t levels_run = 0;
-  // The one-per-run flush. Every graceful return passes through here; the
-  // hard max_paths overflow (a legacy error, not a governed result) does
-  // not — it reports nothing, matching its no-partial-result contract.
-  auto flush_obs = [&]() {
-    if (reg == nullptr) return;
-    reg->Add(obs::Metric::kTraversalRuns, 1);
-    reg->Add(obs::Metric::kTraversalSeedEdges, seed_edges);
-    reg->Add(obs::Metric::kTraversalLevels, levels_run);
-    reg->Add(obs::Metric::kTraversalPathsEmitted, out.paths.size());
-    reg->Add(obs::Metric::kFrontierDenseLevels, dense_levels);
-    reg->Add(obs::Metric::kFrontierSparseLevels, sparse_levels);
-    reg->Add(obs::Metric::kFrontierWordsScanned, frontier_words);
-    AddExecStatsDelta(*reg, obs_before, ctx.Snapshot());
-    FlushArenaStats(arena, reg);
+  // Every graceful return passes through here, flushing the run's
+  // observability once; the hard max_paths overflow (a legacy error, not a
+  // governed result) does not — it reports nothing, matching its
+  // no-partial-result contract.
+  auto finish = [&]() {
+    if (reg != nullptr) {
+      reg->Add(obs::Metric::kTraversalRuns, 1);
+      reg->Add(obs::Metric::kTraversalSeedEdges, seed_edges);
+      reg->Add(obs::Metric::kTraversalLevels, levels_run);
+      reg->Add(obs::Metric::kTraversalPathsEmitted, out.paths.size());
+      kernel.FlushTelemetry(reg);
+      AddExecStatsDelta(*reg, obs_before, ctx.Snapshot());
+      FlushArenaStats(arena, reg);
+    }
+    out.stats = ctx.Snapshot();
+    return std::move(out);
   };
 
   // Materializes a frontier of `length`-edge chains into the canonical
@@ -124,29 +124,32 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
   // everything to.
   auto materialize = [&](const std::vector<PathNodeId>& ids, size_t length) {
 #ifndef NDEBUG
-    arena.CheckCanonicalLevel(ids, length);
+    if constexpr (kForward) arena.CheckCanonicalLevel(ids, length);
 #endif
     std::vector<Path> paths;
     paths.reserve(ids.size());
     for (PathNodeId id : ids) {
       Path p;
-      arena.MaterializePrefixInto(id, length, p);
+      if constexpr (kForward) {
+        arena.MaterializePrefixInto(id, length, p);
+      } else {
+        arena.MaterializeSuffixInto(id, length, p);
+      }
       paths.push_back(std::move(p));
     }
     return PathSet::FromSortedUnique(std::move(paths));
   };
 
-  // Seed level: lift the matching edges into length-1 chains.
+  // Seed level: lift the end step's matching edges (CollectMatchingEdges is
+  // canonical) into length-1 chains.
   {
     ExecSpan seed_span(ctx, "traverse.level", /*level=*/0);
-    for (const Edge& e : CollectMatchingEdges(universe, steps.front())) {
-      if (!ctx.CheckStep().ok() ||
-          (last_level == 0 && !ctx.ChargePaths().ok()) ||
-          !ctx.ChargeBytes(PathArena::kNodeBytes).ok()) {
-        trip = ctx.limit_status();
-        break;
-      }
-      frontier.push_back(arena.AddRoot(e));
+    const std::vector<Edge> seeds = CollectMatchingEdges(universe, step_at(0));
+    const size_t admitted = AdmitSeeds(seeds.size(), last_level == 0, ctx);
+    if (admitted < seeds.size()) trip = ctx.limit_status();
+    frontier.reserve(admitted);
+    for (size_t i = 0; i < admitted; ++i) {
+      frontier.push_back(arena.AddRoot(seeds[i]));
     }
   }
   seed_edges = frontier.size();
@@ -154,111 +157,40 @@ Result<GovernedPathSet> FoldJoin(const EdgeUniverse& universe,
     out.truncated = true;
     out.limit = std::move(trip);
     if (last_level == 0) out.paths = materialize(frontier, 1);
-    flush_obs();
-    out.stats = ctx.Snapshot();
-    return out;
+    return finish();
   }
 
-  for (size_t k = 1; k < steps.size() && !frontier.empty(); ++k) {
+  for (size_t k = 1; k <= last_level && !frontier.empty(); ++k) {
     ++levels_run;
     if (reg != nullptr) {
       reg->Record(obs::Hist::kTraversalLevelWidth, frontier.size());
     }
     ExecSpan level_span(ctx, "traverse.level", static_cast<int64_t>(k));
-    const EdgePattern& step = steps[k];
     const bool final_level = k == last_level;
-
-    // Pick this level's execution strategy. The decision probe (head
-    // bitmap + popcount) only runs once the frontier is wide enough for
-    // dense to be in play, so narrow levels pay nothing beyond the two
-    // branch tests.
-    std::optional<ForwardLevelCache> cache;
-    if (policy.mode != frontier::DensityMode::kForceSparse) {
-      const bool benefits = StepBenefitsFromDense(step);
-      if (policy.mode == frontier::DensityMode::kForceDense ||
-          (benefits && frontier.size() >= policy.min_frontier_paths)) {
-        std::chrono::steady_clock::time_point t0;
-        if (reg != nullptr) t0 = std::chrono::steady_clock::now();
-        head_seen.Reset(universe.num_vertices());
-        for (PathNodeId source : frontier) head_seen.Set(arena.HeadOf(source));
-        const uint64_t distinct = head_seen.Count();
-        frontier_words += head_seen.num_words();
-        if (frontier::ShouldGoDense(policy, frontier.size(), distinct,
-                                    universe.num_vertices(), benefits)) {
-          cache.emplace(universe, step);
-          frontier_words += cache->build_words();
-        }
-        if (reg != nullptr) {
-          reg->Record(obs::Hist::kFrontierKernelNanos,
-                      static_cast<uint64_t>(
-                          std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count()));
-        }
-      }
-    }
-    if (cache.has_value()) {
-      ++dense_levels;
-    } else {
-      ++sparse_levels;
-    }
-
-    Status overflow;
+    kernel.BeginLevel(step_at(k), final_level, frontier);
     next.clear();
     for (PathNodeId source : frontier) {
-      // Extend the chain with matching out-edges of its head — an
-      // index-backed equijoin on γ+(p) = γ−(e), narrowed to the label
-      // sub-run when the step pins one label. The path budget is charged
-      // per emitted path (so a budget of k keeps exactly the first k), but
-      // steps and bytes are batched per source path to keep the guard off
-      // the innermost loop — those budgets have one-out-run granularity.
-      size_t expanded = 0;
-      auto extend = [&](const Edge& e) {
-        if (!overflow.ok() || !trip.ok()) return;
-        if (next.size() >= hard_limit) {
-          overflow = Status::ResourceExhausted(
-              "traversal exceeded max_paths = " + std::to_string(hard_limit));
-          return;
-        }
-        if (final_level && !ctx.ChargePaths().ok()) {
-          trip = ctx.limit_status();
-          return;
-        }
-        ++expanded;
-        next.push_back(arena.Extend(source, e));
-      };
-      if (cache.has_value()) {
-        // Dense: the memoized run IS the sequence ForEachMatchingOutEdge
-        // yields (same order, same elements), fed through the same guard
-        // lambda — strategy cannot perturb governed accounting.
-        for (const Edge& e : cache->MatchedRun(arena.HeadOf(source))) {
-          extend(e);
-        }
-      } else {
-        ForEachMatchingOutEdge(universe, arena.HeadOf(source), step, extend);
-      }
-      if (!overflow.ok()) return overflow;
-      if (trip.ok() && (!ctx.CheckStep(expanded + 1).ok() ||
-                        !ctx.ChargeBytes(expanded * PathArena::kNodeBytes)
-                             .ok())) {
-        trip = ctx.limit_status();
-      }
-      if (!trip.ok()) break;
+      const SourceRecord record = kernel.Expand(source, next);
+      if (record.end == RunEnd::kComplete) continue;
+      if (record.end == RunEnd::kTripHard) return HardOverflow(hard_limit);
+      trip = ctx.limit_status();
+      break;
+    }
+    if constexpr (!kForward) {
+      std::sort(next.begin(), next.end(), [&](PathNodeId a, PathNodeId b) {
+        return arena.CompareSuffix(a, b) < 0;
+      });
     }
     if (!trip.ok()) {
       out.truncated = true;
       out.limit = std::move(trip);
       if (final_level) out.paths = materialize(next, k + 1);
-      flush_obs();
-      out.stats = ctx.Snapshot();
-      return out;
+      return finish();
     }
     frontier.swap(next);
   }
   out.paths = materialize(frontier, steps.size());
-  flush_obs();
-  out.stats = ctx.Snapshot();
-  return out;
+  return finish();
 }
 
 // The pre-arena fold, retained verbatim as the differential oracle (the
@@ -359,8 +291,8 @@ Result<PathSet> FoldJoinStrict(const EdgeUniverse& universe,
                                const PathSetLimits& limits,
                                const frontier::DensityPolicy& policy = {}) {
   ExecContext unlimited;
-  Result<GovernedPathSet> result =
-      FoldJoin(universe, steps, limits, policy, unlimited);
+  Result<GovernedPathSet> result = Fold<ChainDirection::kForward>(
+      universe, steps, limits, policy, unlimited);
   if (!result.ok()) return result.status();
   if (result->truncated) return result->limit;
   return std::move(result->paths);
@@ -434,7 +366,20 @@ Result<PathSet> Traverse(const EdgeUniverse& universe,
 Result<GovernedPathSet> TraverseGoverned(const EdgeUniverse& universe,
                                          const TraversalSpec& spec,
                                          ExecContext& ctx) {
-  return FoldJoin(universe, spec.steps, spec.limits, spec.density, ctx);
+  return Fold<ChainDirection::kForward>(universe, spec.steps, spec.limits,
+                                        spec.density, ctx);
+}
+
+Result<GovernedPathSet> EvaluateChainGoverned(
+    const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
+    ChainDirection direction, ExecContext& ctx, const PathSetLimits& limits,
+    const frontier::DensityPolicy& density) {
+  if (direction == ChainDirection::kForward) {
+    return Fold<ChainDirection::kForward>(universe, steps, limits, density,
+                                          ctx);
+  }
+  return Fold<ChainDirection::kBackward>(universe, steps, limits, density,
+                                         ctx);
 }
 
 Result<GovernedPathSet> TraverseGovernedMaterialized(

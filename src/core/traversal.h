@@ -86,6 +86,28 @@ Result<GovernedPathSet> TraverseGoverned(const EdgeUniverse& universe,
                                          const TraversalSpec& spec,
                                          ExecContext& ctx);
 
+// The end of the chain a fold extends. ⋈◦ is associative, so both denote
+// the same path set; folding backward over E is folding forward over E's
+// converse, and both run the one fold kernel (core/fold_kernel.h) under one
+// guard-accounting rule.
+enum class ChainDirection {
+  kForward,   // Seed with steps.front(), extend at the head (the §III fold).
+  kBackward,  // Seed with steps.back(), extend at the tail via the in-index.
+};
+
+// The governed fold from either end (the truncation contract of
+// TraverseGoverned, which is exactly the kForward case). A backward run
+// yields the same paths in the same canonical order; under a budget it
+// keeps whatever full-length paths its own emission order reached, so a
+// truncated backward result is a subset of the full set, not a prefix.
+// `density` is the sparse/dense execution switch (pure strategy). The
+// chain planner (engine/chain_planner.h) picks the direction.
+Result<GovernedPathSet> EvaluateChainGoverned(
+    const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
+    ChainDirection direction, ExecContext& ctx,
+    const PathSetLimits& limits = {},
+    const frontier::DensityPolicy& density = {});
+
 // The pre-arena fold: every extension copies its full prefix into a fresh
 // Path, every level is canonicalized through PathSetBuilder. Same contract,
 // same guard-call sequence, same PathArena::kNodeBytes byte unit as
@@ -109,16 +131,6 @@ struct ParallelTraversalOptions {
   // Never cut shards smaller than this many seed paths; tiny inputs run on
   // fewer shards (possibly one, i.e. effectively sequentially).
   size_t min_shard_size = 16;
-  // When false (default) every shard speculates under the parent's FULL
-  // remaining budget, which is what guarantees byte-identical truncation:
-  // a shard can only trip at-or-after the point the sequential fold would,
-  // so the sequential-order accounting replay always trips first. When
-  // true, countable budgets are SplitAcross() the shards instead — bounded
-  // total speculation (worst case one budget's worth per shard becomes one
-  // budget total), at the cost that a shard's split share may trip before
-  // the sequential trip point; the result is then still a correct canonical
-  // prefix with accurate metadata, just possibly a shorter one.
-  bool split_budgets = false;
 };
 
 // The parallel §III fold. Seeds on the calling thread, shards the seed

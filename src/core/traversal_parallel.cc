@@ -15,10 +15,11 @@
 //      shards, and each shard folds through the remaining levels on the
 //      pool under a *quiet* ExecContext (ExecContext::ShardContext: shared
 //      cancel token, shared absolute deadline, fault probes off) whose
-//      countable budgets bound speculation: the parent's full remaining
-//      budget by default, or a SplitAcross() share in thrifty mode. The
-//      shard records a ledger: per level, per source path, how many
-//      extensions it emitted and how the out-run ended.
+//      countable budgets — the parent's full remaining budget — bound
+//      speculation. Each level runs the fold kernel (core/fold_kernel.h)
+//      that the sequential fold runs, and the shard records its ledger:
+//      per level, per source path, the kernel's SourceRecord (how many
+//      extensions it emitted and how the out-run ended).
 //
 //      Each shard folds through its own prefix-sharing PathArena
 //      (core/path_arena.h): extensions are 16-byte node pushes, never
@@ -40,14 +41,13 @@
 //      cut at the replayed emission count — canonical order by
 //      construction, adopted O(1) via PathSet::FromSortedUnique.
 //
-// Coverage argument (default, full-remaining budgets): a shard's local
-// charge for any prefix of its work equals the real context's charge for
-// that prefix MINUS earlier shards' contributions, so the shard trips
-// at-or-after the point the sequential fold would — replay always runs out
-// of real budget before it runs out of ledger. The exceptions are wall
-// clock (deadline/cancel trip whenever the clock says so; the replayed
-// prefix is still a correct canonical prefix with accurate metadata) and
-// thrifty split budgets (a shard's share can trip early; same guarantee).
+// Coverage argument: a shard's local charge for any prefix of its work
+// equals the real context's charge for that prefix MINUS earlier shards'
+// contributions, so the shard trips at-or-after the point the sequential
+// fold would — replay always runs out of real budget before it runs out of
+// ledger. The exception is wall clock (deadline/cancel trip whenever the
+// clock says so; the replayed prefix is still a correct canonical prefix
+// with accurate metadata).
 //
 // Thread-safety note: shards read the EdgeUniverse concurrently, so its
 // const accessors must be thread-safe. The immutable CSR snapshot
@@ -59,41 +59,19 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <string>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/dense_level.h"
+#include "core/fold_kernel.h"
 #include "core/path_arena.h"
 #include "core/traversal.h"
-#include "frontier/bitmap.h"
 #include "obs/obs.h"
 #include "util/thread_pool.h"
 
 namespace mrpa {
 
 namespace {
-
-// How one source path's out-run ended in the shard fold.
-enum class RunEnd : uint8_t {
-  // Fully enumerated; the post-run CheckStep/ChargeBytes passed locally.
-  kComplete,
-  // Final level only: the local ChargePaths tripped mid-run (there was at
-  // least one more matching edge).
-  kTripPaths,
-  // Fully enumerated, but the post-run CheckStep or ChargeBytes tripped.
-  kTripPost,
-  // A matching edge arrived with the shard's level-local emission count
-  // already at the hard max_paths cap. Since the global count is at least
-  // the local one, replay always converts this into the sequential hard
-  // error.
-  kTripHard,
-};
-
-struct SourceRecord {
-  uint32_t matches = 0;  // Extensions emitted for this source path.
-  RunEnd end = RunEnd::kComplete;
-};
 
 struct ShardLedger {
   // levels[k-1] holds one record per level-k source path, in canonical
@@ -108,15 +86,16 @@ struct ShardLedger {
   // Final-level node ids into `arena`, canonical order by construction.
   std::vector<PathNodeId> final_ids;
   // The quiet context's trip status when the shard stopped early; OK for a
-  // completed shard. Only surfaced on under-coverage (split budgets or wall
-  // clock), where replay cannot reproduce the trip from the real context.
+  // completed shard. Only surfaced on under-coverage (wall clock), where
+  // replay cannot reproduce the trip from the real context.
   Status local_status;
 };
 
-// The shard fold: the same loop structure as the sequential FoldJoin —
-// arena-native, one node push per extension — charging a quiet
-// speculation-bounding context and recording the ledger instead of being
-// the source of truth.
+// The shard fold: the sequential fold's level loop over one seed slice,
+// driving the same fold kernel — arena-native, one node push per extension
+// — against a quiet speculation-bounding context, and recording the
+// kernel's SourceRecords in the ledger instead of being the source of
+// truth.
 // Observability from inside the worker is deliberately thin: the quiet
 // context carries NO registry (equality-relevant counters all come from the
 // replay on the calling thread, so sequential and parallel runs agree
@@ -124,105 +103,40 @@ struct ShardLedger {
 // speculative allocation total — per-shard, concurrently, which is exactly
 // the contention the registry's padded slabs exist for (and what the TSAN
 // `obs` suite exercises at pool width 8).
-// Each shard also runs the adaptive sparse/dense switch over ITS slice of
-// the frontier (core/dense_level.h): the ledger records only match counts
-// and run endings, and the dense replay yields the identical matched-edge
-// sequence, so the strategy a shard picks is invisible to the accounting
-// replay — a dense shard and a sparse shard produce the same ledger.
-// Per-shard frontier.* counters go to the shard's registry slot; they are
-// strategy telemetry, excluded (like parallel.*) from the sequential
-// counter-identity set.
+// The kernel picks each level's sparse/dense strategy over THIS shard's
+// frontier slice — skew-friendly: a hub-heavy shard can go dense while its
+// siblings stay sparse — and since the dense memo yields the identical
+// matched-edge sequence, a dense shard and a sparse shard produce the same
+// ledger. Per-shard frontier.* counters go to the shard's registry slot;
+// they are strategy telemetry, excluded (like parallel.*) from the
+// sequential counter-identity set.
 void ExpandShard(const EdgeUniverse& universe,
                  const std::vector<EdgePattern>& steps,
-                 const std::vector<Edge>& seed, size_t begin, size_t end,
-                 size_t hard_limit, const frontier::DensityPolicy& policy,
-                 ExecContext&& quiet, ShardLedger& ledger,
-                 obs::ObsRegistry* reg, obs::SpanId parent_span,
-                 size_t shard_index) {
+                 std::span<const Edge> seeds, size_t hard_limit,
+                 const frontier::DensityPolicy& policy, ExecContext&& quiet,
+                 ShardLedger& ledger, obs::ObsRegistry* reg,
+                 obs::SpanId parent_span, size_t shard_index) {
   obs::TraceSpan shard_span(reg, "traverse.shard", parent_span, /*level=*/-1,
                             static_cast<int64_t>(shard_index));
   const size_t last_level = steps.size() - 1;
   PathArena& arena = ledger.arena;
+  FoldKernel<ChainDirection::kForward> kernel(universe, arena, quiet, policy,
+                                              hard_limit);
   std::vector<PathNodeId> frontier;
-  frontier.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    frontier.push_back(arena.AddRoot(seed[i]));
-  }
+  frontier.reserve(seeds.size());
+  for (const Edge& e : seeds) frontier.push_back(arena.AddRoot(e));
   ledger.levels.reserve(last_level);
 
-  frontier::BitmapFrontier head_seen;
-  size_t dense_levels = 0;
-  size_t sparse_levels = 0;
-  uint64_t frontier_words = 0;
-
   for (size_t k = 1; k <= last_level; ++k) {
-    const EdgePattern& step = steps[k];
     const bool final_level = k == last_level;
     std::vector<SourceRecord>& records = ledger.levels.emplace_back();
     records.reserve(frontier.size());
     std::vector<PathNodeId> next;
-    size_t staged = 0;  // Level-local emissions, for the hard cap.
     bool stopped = false;
-
-    // Per-shard strategy choice, same probe as the sequential fold but over
-    // this shard's frontier slice — skew-friendly: a hub-heavy shard can go
-    // dense while its siblings stay sparse.
-    std::optional<ForwardLevelCache> cache;
-    if (policy.mode != frontier::DensityMode::kForceSparse) {
-      const bool benefits = StepBenefitsFromDense(step);
-      if (policy.mode == frontier::DensityMode::kForceDense ||
-          (benefits && frontier.size() >= policy.min_frontier_paths)) {
-        head_seen.Reset(universe.num_vertices());
-        for (PathNodeId source : frontier) head_seen.Set(arena.HeadOf(source));
-        const uint64_t distinct = head_seen.Count();
-        frontier_words += head_seen.num_words();
-        if (frontier::ShouldGoDense(policy, frontier.size(), distinct,
-                                    universe.num_vertices(), benefits)) {
-          cache.emplace(universe, step);
-          frontier_words += cache->build_words();
-        }
-      }
-    }
-    if (cache.has_value()) {
-      ++dense_levels;
-    } else {
-      ++sparse_levels;
-    }
-
+    kernel.BeginLevel(steps[k], final_level, frontier);
     for (PathNodeId source : frontier) {
-      SourceRecord record;
-      bool stop = false;
-      auto extend = [&](const Edge& e) {
-        if (stop) return;
-        if (staged >= hard_limit) {
-          record.end = RunEnd::kTripHard;
-          stop = true;
-          return;
-        }
-        if (final_level && !quiet.ChargePaths().ok()) {
-          record.end = RunEnd::kTripPaths;
-          stop = true;
-          return;
-        }
-        ++record.matches;
-        ++staged;
-        next.push_back(arena.Extend(source, e));
-      };
-      if (cache.has_value()) {
-        for (const Edge& e : cache->MatchedRun(arena.HeadOf(source))) {
-          extend(e);
-        }
-      } else {
-        ForEachMatchingOutEdge(universe, arena.HeadOf(source), step, extend);
-      }
-      if (!stop &&
-          (!quiet.CheckStep(record.matches + 1).ok() ||
-           !quiet.ChargeBytes(record.matches * PathArena::kNodeBytes).ok())) {
-        record.end = RunEnd::kTripPost;
-        stop = true;
-      }
-      records.push_back(record);
-      if (stop) {
+      records.push_back(kernel.Expand(source, next));
+      if (records.back().end != RunEnd::kComplete) {
         ledger.local_status = quiet.limit_status();
         stopped = true;
         break;
@@ -242,15 +156,8 @@ void ExpandShard(const EdgeUniverse& universe,
   if (reg != nullptr) {
     reg->Add(obs::Metric::kParallelSpeculativeNodes,
              ledger.arena.telemetry().nodes_allocated, shard_index);
-    reg->Add(obs::Metric::kFrontierDenseLevels, dense_levels, shard_index);
-    reg->Add(obs::Metric::kFrontierSparseLevels, sparse_levels, shard_index);
-    reg->Add(obs::Metric::kFrontierWordsScanned, frontier_words, shard_index);
+    kernel.FlushTelemetry(reg, shard_index);
   }
-}
-
-Status HardOverflow(size_t hard_limit) {
-  return Status::ResourceExhausted("traversal exceeded max_paths = " +
-                                   std::to_string(hard_limit));
 }
 
 }  // namespace
@@ -291,13 +198,8 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   size_t seeded = 0;
   {
     ExecSpan seed_span(ctx, "traverse.level", /*level=*/0);
-    for (; seeded < seed.size(); ++seeded) {
-      if (!ctx.CheckStep().ok() ||
-          !ctx.ChargeBytes(PathArena::kNodeBytes).ok()) {
-        trip = ctx.limit_status();
-        break;
-      }
-    }
+    seeded = AdmitSeeds(seed.size(), /*final_level=*/false, ctx);
+    if (seeded < seed.size()) trip = ctx.limit_status();
   }
   seed.resize(seeded);
   // Flush for the two exits that never build ledgers. Matches what the
@@ -332,25 +234,22 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   num_shards = std::min(num_shards, (seed.size() + min_shard - 1) / min_shard);
   if (num_shards == 0) num_shards = 1;
 
-  std::vector<ExecLimits> shard_limits;
-  if (options.split_budgets) {
-    shard_limits = ctx.RemainingLimits().SplitAcross(num_shards);
-  } else {
-    shard_limits.assign(num_shards, ctx.RemainingLimits());
-  }
-
   std::vector<ShardLedger> ledgers(num_shards);
-  const size_t base = seed.size() / num_shards;
-  const size_t extra = seed.size() % num_shards;
-  std::vector<std::pair<size_t, size_t>> ranges(num_shards);
+  std::vector<std::span<const Edge>> slices(num_shards);
   {
+    const size_t base = seed.size() / num_shards;
+    const size_t extra = seed.size() % num_shards;
     size_t begin = 0;
     for (size_t s = 0; s < num_shards; ++s) {
       const size_t len = base + (s < extra ? 1 : 0);
-      ranges[s] = {begin, begin + len};
+      slices[s] = std::span<const Edge>(seed).subspan(begin, len);
       begin += len;
     }
   }
+  // Every shard speculates under the parent's FULL remaining budget: a
+  // shard can then only trip at-or-after the point the sequential fold
+  // would, so the sequential-order replay always trips first.
+  const ExecLimits shard_limits = ctx.RemainingLimits();
 
   // One calibrated policy, shared read-only by every shard (calibration
   // snapshots the registry once, on the calling thread).
@@ -361,10 +260,9 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   }
 
   options.pool->ParallelFor(num_shards, [&](size_t s) {
-    ExpandShard(universe, steps, seed, ranges[s].first, ranges[s].second,
-                hard_limit, policy,
-                ExecContext::ShardContext(ctx, shard_limits[s]), ledgers[s],
-                reg, run_span.id(), s);
+    ExpandShard(universe, steps, slices[s], hard_limit, policy,
+                ExecContext::ShardContext(ctx, shard_limits), ledgers[s], reg,
+                run_span.id(), s);
   });
 
   // Replay: the sequential fold's exact guard-call sequence, fed from the
@@ -503,9 +401,9 @@ Result<GovernedPathSet> TraverseParallelGoverned(
             // The shard saw one more matching edge; sequentially it would
             // face the hard cap, then ChargePaths. Probe the remaining
             // budget instead of charging blindly: if the real budget is
-            // dry, charging reproduces the sequential trip; if not (split
-            // budgets / wall clock), this is under-coverage — stop with the
-            // shard's own status, without minting a phantom path charge.
+            // dry, charging reproduces the sequential trip; if not, this is
+            // under-coverage — stop with the shard's own status, without
+            // minting a phantom path charge.
             if (staged >= hard_limit) return HardOverflow(hard_limit);
             std::optional<size_t> left = ctx.RemainingLimits().max_paths;
             if (left.has_value() && *left == 0) {

@@ -1,16 +1,11 @@
 #include "engine/chain_planner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 #include <optional>
 #include <utility>
 
-#include "core/dense_level.h"
-#include "core/path_arena.h"
 #include "core/simplify.h"
 #include "core/traversal.h"
-#include "frontier/bitmap.h"
 #include "obs/obs.h"
 
 namespace mrpa {
@@ -111,243 +106,6 @@ ChainPlan PlanChain(const EdgeUniverse& universe,
   return plan;
 }
 
-namespace {
-
-// Backward evaluation, threaded through the execution guard. The forward
-// direction is exactly the §III fold and delegates to TraverseGoverned;
-// this one seeds with the last step and extends paths at their tail via
-// the in-index. The path budget is charged for full-length (final level,
-// k == 0) paths only, mirroring the forward accounting.
-//
-// Arena-native, with SUFFIX chains: a frontier node's edge is the FIRST
-// edge of the suffix it chains, so extending at the tail is one node push
-// and γ−(p) is the O(1) TailOf projection. Unlike the forward fold, tail
-// extensions do not preserve canonical order (the new edge varies at the
-// FRONT of the path) — the old code re-canonicalized through
-// PathSetBuilder::Build() every level, which this version mirrors by
-// sorting the frontier's node ids with CompareSuffix (front-first, without
-// materializing). Suffixes are distinct by construction — distinct
-// (edge, suffix) pairs prepend to distinct paths — so no dedup pass.
-// Each extension level picks a strategy, like the forward fold: the sparse
-// per-candidate Matches walk, or a dense replay against a
-// BackwardLevelCache (core/dense_level.h) that pre-filters the whole edge
-// table into a match bitmap and memoizes each tail vertex's matched
-// in-index subsequence. The backward guard contract is stricter than the
-// forward one — CheckStep fires per CANDIDATE, matching or not — so the
-// dense replay still walks the full candidate run and merely replaces the
-// per-edge Matches call with a two-pointer scan of the memoized
-// subsequence; guard count, order, and arguments are preserved exactly.
-Result<GovernedPathSet> EvaluateBackwardGoverned(
-    const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
-    const PathSetLimits& limits, const frontier::DensityPolicy& base_policy,
-    ExecContext& ctx) {
-  GovernedPathSet out;
-  const size_t hard_limit =
-      limits.max_paths.value_or(std::numeric_limits<size_t>::max());
-  Status trip;
-
-  PathArena arena;
-  std::vector<PathNodeId> frontier;
-  std::vector<PathNodeId> next;
-
-  // Boundary-only observability, same shape as the forward fold's: the
-  // backward evaluator is a traversal too, so it reports into the same
-  // traversal.* counters (levels here count backward extension levels).
-  obs::ObsRegistry* const reg = ctx.observer();
-  ExecStats obs_before;
-  if (reg != nullptr) obs_before = ctx.Snapshot();
-  ExecSpan run_span(ctx, "chain.backward");
-  size_t seed_edges = 0;
-  size_t levels_run = 0;
-
-  // Adaptive strategy state, mirroring the forward fold's.
-  frontier::DensityPolicy policy = base_policy;
-  if (reg != nullptr && policy.mode == frontier::DensityMode::kAuto) {
-    policy = frontier::CalibrateDensityPolicy(
-        policy, reg, universe.num_vertices(), universe.num_edges());
-  }
-  frontier::BitmapFrontier tail_seen;
-  size_t dense_levels = 0;
-  size_t sparse_levels = 0;
-  uint64_t frontier_words = 0;
-
-  auto flush_obs = [&]() {
-    if (reg == nullptr) return;
-    reg->Add(obs::Metric::kTraversalRuns, 1);
-    reg->Add(obs::Metric::kTraversalSeedEdges, seed_edges);
-    reg->Add(obs::Metric::kTraversalLevels, levels_run);
-    reg->Add(obs::Metric::kTraversalPathsEmitted, out.paths.size());
-    reg->Add(obs::Metric::kFrontierDenseLevels, dense_levels);
-    reg->Add(obs::Metric::kFrontierSparseLevels, sparse_levels);
-    reg->Add(obs::Metric::kFrontierWordsScanned, frontier_words);
-    AddExecStatsDelta(*reg, obs_before, ctx.Snapshot());
-    FlushArenaStats(arena, reg);
-  };
-
-  auto sort_level = [&](std::vector<PathNodeId>& ids) {
-    std::sort(ids.begin(), ids.end(), [&](PathNodeId a, PathNodeId b) {
-      return arena.CompareSuffix(a, b) < 0;
-    });
-  };
-  auto materialize = [&](const std::vector<PathNodeId>& ids, size_t length) {
-    std::vector<Path> paths;
-    paths.reserve(ids.size());
-    for (PathNodeId id : ids) {
-      Path p;
-      arena.MaterializeSuffixInto(id, length, p);
-      paths.push_back(std::move(p));
-    }
-    return PathSet::FromSortedUnique(std::move(paths));
-  };
-
-  // Seed with the LAST step's matching edges: length-1 suffixes, already in
-  // canonical order (CollectMatchingEdges is sorted).
-  {
-    ExecSpan seed_span(ctx, "traverse.level", /*level=*/0);
-    for (const Edge& e : CollectMatchingEdges(universe, steps.back())) {
-      if (trip = ctx.CheckStep(); !trip.ok()) break;
-      if (steps.size() == 1) {
-        if (trip = ctx.ChargePaths(); !trip.ok()) break;
-      }
-      if (trip = ctx.ChargeBytes(PathArena::kNodeBytes); !trip.ok()) break;
-      frontier.push_back(arena.AddRoot(e));
-    }
-  }
-  seed_edges = frontier.size();
-  if (!trip.ok()) {
-    out.truncated = true;
-    out.limit = std::move(trip);
-    if (steps.size() == 1) out.paths = materialize(frontier, 1);
-    flush_obs();
-    out.stats = ctx.Snapshot();
-    return out;
-  }
-
-  size_t length = 1;  // Suffix length of the current frontier.
-  for (size_t k = steps.size() - 1; k-- > 0 && !frontier.empty();) {
-    const bool final_level = k == 0;
-    ++levels_run;
-    if (reg != nullptr) {
-      reg->Record(obs::Hist::kTraversalLevelWidth, frontier.size());
-    }
-    // Level ids count from the seed outward, like the forward fold — for a
-    // backward evaluation they name suffix-extension rounds, not step
-    // indices.
-    ExecSpan level_span(ctx, "traverse.level",
-                        static_cast<int64_t>(levels_run));
-
-    // Strategy choice for this extension level, over the frontier's tail
-    // vertices (the backward analogue of the forward fold's head probe).
-    std::optional<BackwardLevelCache> cache;
-    if (policy.mode != frontier::DensityMode::kForceSparse) {
-      const bool benefits = StepBenefitsFromDense(steps[k]);
-      if (policy.mode == frontier::DensityMode::kForceDense ||
-          (benefits && frontier.size() >= policy.min_frontier_paths)) {
-        std::chrono::steady_clock::time_point t0;
-        if (reg != nullptr) t0 = std::chrono::steady_clock::now();
-        tail_seen.Reset(universe.num_vertices());
-        for (PathNodeId source : frontier) tail_seen.Set(arena.TailOf(source));
-        const uint64_t distinct = tail_seen.Count();
-        frontier_words += tail_seen.num_words();
-        if (frontier::ShouldGoDense(policy, frontier.size(), distinct,
-                                    universe.num_vertices(), benefits)) {
-          cache.emplace(universe, steps[k]);
-          frontier_words += cache->build_words();
-        }
-        if (reg != nullptr) {
-          reg->Record(obs::Hist::kFrontierKernelNanos,
-                      static_cast<uint64_t>(
-                          std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count()));
-        }
-      }
-    }
-    if (cache.has_value()) {
-      ++dense_levels;
-    } else {
-      ++sparse_levels;
-    }
-
-    next.clear();
-    for (PathNodeId source : frontier) {
-      // Extend at the tail: edges whose head is γ−(p), via the in-index.
-      // CheckStep fires once per CANDIDATE in-edge, before the match test —
-      // the dense replay below preserves that by walking the full candidate
-      // run and consulting the memoized matched subsequence with a
-      // two-pointer scan in place of the per-edge Matches call.
-      const VertexId tail = arena.TailOf(source);
-      const std::span<const EdgeIndex> candidates =
-          universe.InEdgeIndices(tail);
-      std::span<const EdgeIndex> matched;
-      size_t m = 0;
-      if (cache.has_value()) matched = cache->MatchedInEdges(tail);
-      for (EdgeIndex idx : candidates) {
-        if (trip = ctx.CheckStep(); !trip.ok()) break;
-        if (cache.has_value()) {
-          if (m >= matched.size() || matched[m] != idx) continue;
-          ++m;
-        } else if (!steps[k].Matches(universe.EdgeAt(idx))) {
-          continue;
-        }
-        if (next.size() >= hard_limit) {
-          return Status::ResourceExhausted(
-              "chain evaluation exceeded max_paths = " +
-              std::to_string(hard_limit));
-        }
-        if (final_level) {
-          if (trip = ctx.ChargePaths(); !trip.ok()) break;
-        }
-        if (trip = ctx.ChargeBytes(PathArena::kNodeBytes); !trip.ok()) break;
-        next.push_back(arena.Extend(source, universe.EdgeAt(idx)));
-      }
-      if (!trip.ok()) break;
-    }
-    ++length;
-    if (!trip.ok()) {
-      out.truncated = true;
-      out.limit = std::move(trip);
-      if (final_level) {
-        sort_level(next);
-        out.paths = materialize(next, length);
-      }
-      flush_obs();
-      out.stats = ctx.Snapshot();
-      return out;
-    }
-    sort_level(next);
-    frontier.swap(next);
-  }
-  out.paths = materialize(frontier, length);
-  flush_obs();
-  out.stats = ctx.Snapshot();
-  return out;
-}
-
-}  // namespace
-
-Result<GovernedPathSet> EvaluateChainGoverned(
-    const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
-    ChainDirection direction, ExecContext& ctx, const PathSetLimits& limits,
-    const frontier::DensityPolicy& density) {
-  if (steps.empty()) {
-    GovernedPathSet out;
-    if (Status trip = ctx.ChargePaths(); !trip.ok()) {
-      out.truncated = true;
-      out.limit = std::move(trip);
-    } else {
-      out.paths = PathSet::EpsilonSet();
-    }
-    out.stats = ctx.Snapshot();
-    return out;
-  }
-  if (direction == ChainDirection::kForward) {
-    return TraverseGoverned(universe, TraversalSpec{steps, limits, density},
-                            ctx);
-  }
-  return EvaluateBackwardGoverned(universe, steps, limits, density, ctx);
-}
-
 Result<PathSet> EvaluateChain(const EdgeUniverse& universe,
                               const std::vector<EdgePattern>& steps,
                               ChainDirection direction,
@@ -411,28 +169,6 @@ Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
   }
   return EvaluateChainGoverned(universe, *chain, plan.direction, ctx,
                                options.limits);
-}
-
-Result<GovernedPathSet> EvaluatePlannedParallelGoverned(
-    const PathExpr& expr, const EdgeUniverse& universe, ExecContext& ctx,
-    const ParallelTraversalOptions& parallel, const EvalOptions& options) {
-  PathExprPtr simplified = Simplify(expr.shared_from_this());
-  std::optional<std::vector<EdgePattern>> chain =
-      ExtractAtomChain(*simplified);
-  if (chain.has_value()) {
-    ChainPlan plan = PlanChain(universe, *chain);
-    if (plan.direction == ChainDirection::kForward) {
-      // Count the forward decision here; the backward/fallback cases fall
-      // through to EvaluatePlannedGoverned, which does its own counting.
-      if (obs::ObsRegistry* reg = ctx.observer(); reg != nullptr) {
-        reg->Add(obs::Metric::kPlannerPlansForward, 1);
-      }
-      return TraverseParallelGoverned(
-          universe, TraversalSpec{*chain, options.limits}, ctx, parallel);
-    }
-  }
-  // Backward plans and non-chain expressions: the sequential machinery.
-  return EvaluatePlannedGoverned(*simplified, universe, ctx, options);
 }
 
 }  // namespace mrpa

@@ -15,7 +15,8 @@
 //      the universe's indices (no data scan).
 //   3. PlanChain: compare the two chain ends, pick a direction.
 //   4. EvaluateChain: run the fold forward, or backward (extending paths at
-//      their tail via the in-index).
+//      their tail via the in-index) — one fold kernel either way
+//      (core/fold_kernel.h).
 //
 // Experiment E12 (bench_planner) measures the ablation: planned vs naive on
 // selectivity-skewed chains.
@@ -45,11 +46,6 @@ std::optional<std::vector<EdgePattern>> ExtractAtomChain(const PathExpr& expr);
 // upper bound (|E|). Never scans edge data.
 size_t EstimatePatternCardinality(const EdgeUniverse& universe,
                                   const EdgePattern& pattern);
-
-enum class ChainDirection {
-  kForward,   // Seed with steps.front(), extend at head (the §III fold).
-  kBackward,  // Seed with steps.back(), extend at tail via the in-index.
-};
 
 struct ChainPlan {
   ChainDirection direction = ChainDirection::kForward;
@@ -82,25 +78,13 @@ ChainPlan PlanChain(const EdgeUniverse& universe,
                     const PlannerCostHints& hints);
 
 // Evaluates the chain in the given direction; both directions produce the
-// identical path set (⋈◦ associativity).
+// identical path set (⋈◦ associativity). The governed form,
+// EvaluateChainGoverned, and ChainDirection live in core/traversal.h beside
+// the fold they run.
 Result<PathSet> EvaluateChain(const EdgeUniverse& universe,
                               const std::vector<EdgePattern>& steps,
                               ChainDirection direction,
                               const PathSetLimits& limits = {});
-
-// Governed evaluation (the truncation contract of core/traversal.h's
-// TraverseGoverned): a budget/deadline/cancellation trip returns the
-// full-length paths yielded so far with `truncated = true` instead of
-// discarding them. limits.max_paths keeps its hard-error semantics.
-// `density` is the sparse/dense execution switch (DESIGN.md "Dense-frontier
-// execution") — pure strategy, applied by both directions (the backward
-// evaluator has its own dense replay over the in-index), with byte-identical
-// governed output in every mode.
-Result<GovernedPathSet> EvaluateChainGoverned(
-    const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
-    ChainDirection direction, ExecContext& ctx,
-    const PathSetLimits& limits = {},
-    const frontier::DensityPolicy& density = {});
 
 // One-call form: extract, plan, evaluate; falls back to PathExpr::Evaluate
 // for non-chain expressions.
@@ -117,16 +101,6 @@ Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
                                                 const EdgeUniverse& universe,
                                                 ExecContext& ctx,
                                                 const EvalOptions& options = {});
-
-// Governed one-call form with a parallel fold: forward-planned atom chains
-// run through TraverseParallelGoverned (byte-identical to the sequential
-// plan — see core/traversal.h); backward-planned chains and non-chain
-// expressions keep the sequential paths above (the in-index fold and the
-// bottom-up evaluator are not parallelized). A null parallel.pool makes
-// this exactly EvaluatePlannedGoverned.
-Result<GovernedPathSet> EvaluatePlannedParallelGoverned(
-    const PathExpr& expr, const EdgeUniverse& universe, ExecContext& ctx,
-    const ParallelTraversalOptions& parallel, const EvalOptions& options = {});
 
 }  // namespace mrpa
 

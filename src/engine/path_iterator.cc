@@ -1,10 +1,8 @@
 #include "engine/path_iterator.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/obs.h"
-#include "util/thread_pool.h"
 
 namespace mrpa {
 
@@ -12,17 +10,6 @@ StepPathIterator::StepPathIterator(const EdgeUniverse& universe,
                                    std::vector<EdgePattern> steps,
                                    ExecContext* exec)
     : universe_(universe), steps_(std::move(steps)), exec_(exec) {
-  SeekToFirst();
-}
-
-StepPathIterator::StepPathIterator(const EdgeUniverse& universe,
-                                   std::vector<EdgePattern> steps,
-                                   std::vector<Edge> seed_slice,
-                                   ExecContext* exec)
-    : universe_(universe),
-      steps_(std::move(steps)),
-      seed_override_(std::move(seed_slice)),
-      exec_(exec) {
   SeekToFirst();
 }
 
@@ -98,9 +85,7 @@ bool StepPathIterator::FillFrame(size_t depth, VertexId prefix_head,
   frame.cursor = 0;
   const EdgePattern& step = steps_[depth];
   if (depth == 0) {
-    frame.candidates = seed_override_.has_value()
-                           ? *seed_override_
-                           : CollectMatchingEdges(universe_, step);
+    frame.candidates = CollectMatchingEdges(universe_, step);
   } else {
     ForEachMatchingOutEdge(universe_, prefix_head, step, [&](const Edge& e) {
       frame.candidates.push_back(e);
@@ -168,54 +153,6 @@ PathSet DrainToPathSet(StepPathIterator& it) {
   std::vector<Path> paths;
   for (; it.Valid(); it.Next()) paths.push_back(it.Current());
   return PathSet::FromSortedUnique(std::move(paths));
-}
-
-PathSet ParallelDrainToPathSet(const EdgeUniverse& universe,
-                               std::vector<EdgePattern> steps,
-                               ThreadPool* pool, size_t shards_per_thread) {
-  if (pool == nullptr || steps.empty()) {
-    StepPathIterator it(universe, std::move(steps));
-    return DrainToPathSet(it);
-  }
-  std::vector<Edge> seed = CollectMatchingEdges(universe, steps.front());
-  if (seed.empty()) return PathSet();
-
-  size_t num_shards =
-      pool->num_threads() * (shards_per_thread > 0 ? shards_per_thread : 1);
-  num_shards = std::min(num_shards, seed.size());
-  if (num_shards == 0) num_shards = 1;
-
-  const size_t base = seed.size() / num_shards;
-  const size_t extra = seed.size() % num_shards;
-  std::vector<std::vector<Path>> shard_paths(num_shards);
-  std::vector<size_t> begins(num_shards);
-  {
-    size_t begin = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      begins[s] = begin;
-      begin += base + (s < extra ? 1 : 0);
-    }
-  }
-  pool->ParallelFor(num_shards, [&](size_t s) {
-    const size_t begin = begins[s];
-    const size_t end = begin + base + (s < extra ? 1 : 0);
-    StepPathIterator it(
-        universe, steps,
-        std::vector<Edge>(seed.begin() + begin, seed.begin() + end));
-    std::vector<Path>& out = shard_paths[s];
-    for (; it.Valid(); it.Next()) out.push_back(it.Current());
-  });
-
-  // Each shard's DFS output is strictly increasing and the slices tile the
-  // canonical order, so plain concatenation is the canonical set.
-  size_t total = 0;
-  for (const std::vector<Path>& sp : shard_paths) total += sp.size();
-  std::vector<Path> merged;
-  merged.reserve(total);
-  for (std::vector<Path>& sp : shard_paths) {
-    for (Path& p : sp) merged.push_back(std::move(p));
-  }
-  return PathSet::FromSortedUnique(std::move(merged));
 }
 
 }  // namespace mrpa

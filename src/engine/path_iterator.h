@@ -29,8 +29,6 @@
 #define MRPA_ENGINE_PATH_ITERATOR_H_
 
 #include <cstddef>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "core/edge_pattern.h"
@@ -51,15 +49,6 @@ class StepPathIterator {
   StepPathIterator(const EdgeUniverse& universe,
                    std::vector<EdgePattern> steps,
                    ExecContext* exec = nullptr);
-
-  // A sharded iterator: enumerates only the paths whose step-0 edge lies in
-  // `seed_slice` (a contiguous slice of the step-0 candidate edges, in
-  // canonical order). Concatenating the outputs of iterators over a
-  // partition of the step-0 candidates reproduces the full DFS order —
-  // this is what ParallelDrainToPathSet shards on.
-  StepPathIterator(const EdgeUniverse& universe,
-                   std::vector<EdgePattern> steps,
-                   std::vector<Edge> seed_slice, ExecContext* exec = nullptr);
 
   // Positions at the first path (implicitly called by the constructor).
   // Note: re-seeking does not reset the ExecContext — budgets span the
@@ -115,9 +104,6 @@ class StepPathIterator {
 
   const EdgeUniverse& universe_;
   std::vector<EdgePattern> steps_;
-  // When set, step 0 draws candidates from this slice instead of
-  // CollectMatchingEdges — the sharded-enumeration constructor.
-  std::optional<std::vector<Edge>> seed_override_;
   ExecContext* exec_;  // Nullable; not owned.
   // One frame per step, allocated once; depth_ counts the active prefix
   // (the DFS stack is frames_[0..depth_-1]).
@@ -144,20 +130,6 @@ class StepPathIterator {
 // cross-check the two engines in tests. A governed iterator that trips
 // mid-drain yields the prefix it managed; inspect it.truncated() after.
 PathSet DrainToPathSet(StepPathIterator& it);
-
-class ThreadPool;
-
-// Ungoverned parallel materialization of the n-step language: cuts the
-// step-0 candidate edges into contiguous canonical slices, drains one
-// sharded StepPathIterator per slice on the pool, and concatenates — the
-// DFS orders of the slices tile the global DFS (= canonical) order, so the
-// merge is O(1) adoption. Equivalent to DrainToPathSet over a fresh
-// iterator, and to Traverse(). A null pool drains sequentially. The
-// universe's const accessors must be thread-safe (CSR snapshots are).
-PathSet ParallelDrainToPathSet(const EdgeUniverse& universe,
-                               std::vector<EdgePattern> steps,
-                               ThreadPool* pool,
-                               size_t shards_per_thread = 4);
 
 }  // namespace mrpa
 

@@ -29,6 +29,8 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+int OpenSpareDescriptor() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
 }  // namespace
 
 QueryServer::QueryServer(service::QueryService& service, Options options)
@@ -70,7 +72,8 @@ Status QueryServer::Start() {
     if (listen_fd_ >= 0) ::close(listen_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
     if (wake_fd_ >= 0) ::close(wake_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+    if (spare_fd_ >= 0) ::close(spare_fd_);
+    listen_fd_ = epoll_fd_ = wake_fd_ = spare_fd_ = -1;
     return status;
   };
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
@@ -100,6 +103,8 @@ Status QueryServer::Start() {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
     return fail("epoll_ctl(wake)");
   }
+  spare_fd_ = OpenSpareDescriptor();
+  if (spare_fd_ < 0) return fail("open(spare descriptor)");
 
   draining_.store(false, std::memory_order_release);
   drain_started_ = false;
@@ -130,7 +135,8 @@ void QueryServer::Shutdown() {
   workers_.clear();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
-  epoll_fd_ = wake_fd_ = -1;
+  if (spare_fd_ >= 0) ::close(spare_fd_);
+  epoll_fd_ = wake_fd_ = spare_fd_ = -1;
   done_.clear();
   work_.clear();
   running_.store(false, std::memory_order_release);
@@ -288,7 +294,22 @@ void QueryServer::HandleAccept() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or a transient accept failure.
+    if (fd < 0) {
+      // Out of descriptors, the pending connection keeps the level-
+      // triggered listener readable, so returning would spin the loop.
+      // Shed it instead: free the spare, accept into it, close, re-arm.
+      if ((errno == EMFILE || errno == ENFILE) && spare_fd_ >= 0) {
+        ::close(spare_fd_);
+        const int shed = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+        if (shed >= 0) {
+          ::close(shed);
+          Count(obs::Metric::kNetConnectionsRefused);
+        }
+        spare_fd_ = OpenSpareDescriptor();
+        if (shed >= 0) continue;
+      }
+      return;  // EAGAIN or a transient accept failure.
+    }
     if (conns_.size() >= options_.max_connections ||
         draining_.load(std::memory_order_acquire)) {
       ::close(fd);

@@ -25,6 +25,12 @@
 //     mismatch, malformed payload) closes the connection immediately; no
 //     best-effort resynchronization, no error frame a confused peer could
 //     misparse mid-stream. Counted in net.protocol_errors.
+//   * Descriptor exhaustion sheds, never spins. When accept fails with
+//     EMFILE/ENFILE the server frees a spare descriptor it holds for the
+//     purpose, accepts the pending connection into it and closes it
+//     (counted in net.connections_refused), then re-arms the spare — the
+//     peer sees its connection end instead of hanging, and the level-
+//     triggered listener stops firing.
 //
 // Shutdown() is a graceful drain: the listen socket closes first (new
 // connections are refused by the kernel), reading stops everywhere (no new
@@ -159,6 +165,9 @@ class QueryServer {
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  // Held open so that, once the process is out of descriptors, one can be
+  // freed to accept-and-close the pending connection (see HandleAccept).
+  int spare_fd_ = -1;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};

@@ -9,28 +9,6 @@ namespace mrpa {
 static_assert(ExecContext::kNoObsSpan == obs::kNoSpan,
               "ExecContext's span sentinel must match obs::kNoSpan");
 
-std::vector<ExecLimits> ExecLimits::SplitAcross(size_t n) const {
-  if (n == 0) n = 1;
-  std::vector<ExecLimits> shares(n);
-  // Per-dimension: share i gets floor(k/n), plus one unit if i < k % n.
-  // Sum over i is exactly k for every n, including n > k (where floor is 0
-  // and only the first k shares get their remainder unit).
-  auto divide = [n, &shares](std::optional<size_t> ExecLimits::* dim,
-                             const std::optional<size_t>& budget) {
-    if (!budget.has_value()) return;  // Unlimited stays unlimited.
-    const size_t base = *budget / n;
-    const size_t extra = *budget % n;
-    for (size_t i = 0; i < n; ++i) {
-      shares[i].*dim = base + (i < extra ? 1 : 0);
-    }
-  };
-  divide(&ExecLimits::max_paths, max_paths);
-  divide(&ExecLimits::max_steps, max_steps);
-  divide(&ExecLimits::max_bytes, max_bytes);
-  for (size_t i = 0; i < n; ++i) shares[i].timeout = timeout;
-  return shares;
-}
-
 const Status& ExecContext::TripStepBudget() {
   Trip(Status::ResourceExhausted("step budget exceeded (" +
                                  std::to_string(max_steps_) + " steps)"));

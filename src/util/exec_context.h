@@ -40,7 +40,6 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "util/fault_injector.h"
 #include "util/status.h"
@@ -81,16 +80,6 @@ struct ExecLimits {
   std::optional<size_t> max_bytes;
 
   static ExecLimits Unlimited() { return {}; }
-
-  // Divides the countable budgets (paths/steps/bytes) across `n` shards:
-  // floor division, with the remainder spread one unit each over the first
-  // shards, so the shares always sum to EXACTLY the original budget — a
-  // budget of k split across n > k shards hands k shards one unit and the
-  // rest zero, never minting allowance. The timeout is NOT divided: wall
-  // clock elapses concurrently for every shard, so each share keeps the
-  // full remaining window (shard contexts inherit the parent's absolute
-  // deadline via ExecContext::ShardContext).
-  std::vector<ExecLimits> SplitAcross(size_t n) const;
 };
 
 // Counters describing how far an evaluation got. Returned by

@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "compiler/cost_model.h"
 #include "core/traversal.h"
+#include "frontier/policy.h"
 #include "generators/generators.h"
 #include "obs/obs.h"
 #include "util/random.h"
@@ -321,6 +327,109 @@ TEST(HintedPlanTest, CalibratedHintsFlipAnExplosiveMiddle) {
   ASSERT_TRUE(fwd.ok());
   ASSERT_TRUE(bwd.ok());
   EXPECT_EQ(fwd.value(), bwd.value());
+}
+
+// --- Direction symmetry: folding backward over G is folding forward over
+// G's converse, edge for edge and charge for charge ---------------------
+
+// Gᵀ: every edge reversed, over the same vertex and label id ranges.
+MultiRelationalGraph Converse(const MultiRelationalGraph& g) {
+  MultiGraphBuilder b;
+  b.ReserveVertices(g.num_vertices());
+  b.ReserveLabels(g.num_labels());
+  for (const Edge& e : g.AllEdges()) b.AddEdge(e.head, e.label, e.tail);
+  return b.Build();
+}
+
+// The chain that denotes, over Gᵀ, the converse of `steps` over G: the
+// steps reversed, each with its tail and head constraints swapped.
+std::vector<EdgePattern> ConverseChain(const std::vector<EdgePattern>& steps) {
+  std::vector<EdgePattern> out;
+  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+    out.emplace_back(it->head(), it->label(), it->tail());
+  }
+  return out;
+}
+
+PathSet ConversePaths(const PathSet& paths) {
+  PathSetBuilder b;
+  for (const Path& p : paths) {
+    Path reversed;
+    for (size_t i = p.length(); i-- > 0;) {
+      const Edge& e = p.edge(i);
+      reversed.Append(Edge(e.head, e.label, e.tail));
+    }
+    b.Add(std::move(reversed));
+  }
+  return b.Build();
+}
+
+IdConstraint RandomConstraint(Rng& rng, uint32_t size) {
+  switch (rng.Below(4)) {
+    case 0:
+    case 1:
+      return IdConstraint();
+    case 2:
+      return IdConstraint::Exactly(static_cast<uint32_t>(rng.Below(size)));
+    default: {
+      std::vector<uint32_t> ids;
+      for (uint64_t i = 0, n = 1 + rng.Below(3); i < n; ++i) {
+        ids.push_back(static_cast<uint32_t>(rng.Below(size)));
+      }
+      return IdConstraint(std::move(ids), /*negated=*/rng.Below(3) == 0);
+    }
+  }
+}
+
+TEST(DirectionSymmetryTest, BackwardOverGIsForwardOverTheConverse) {
+  Rng rng(0x5ca1ab1e);
+  for (uint64_t c = 0; c < 32; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const uint32_t num_vertices = static_cast<uint32_t>(10 + rng.Below(40));
+    const uint32_t num_labels = static_cast<uint32_t>(1 + rng.Below(3));
+    auto graph = GenerateErdosRenyi(
+        {.num_vertices = num_vertices,
+         .num_labels = num_labels,
+         .num_edges = std::min<size_t>(
+             60 + rng.Below(300),
+             size_t{num_vertices} * num_vertices * num_labels / 2),
+         .seed = c + 1});
+    ASSERT_TRUE(graph.ok());
+    const MultiRelationalGraph converse = Converse(*graph);
+    const uint32_t V = graph->num_vertices();
+    const uint32_t L = graph->num_labels();
+    std::vector<EdgePattern> steps;
+    for (uint64_t k = 0, n = 1 + rng.Below(4); k < n; ++k) {
+      steps.emplace_back(RandomConstraint(rng, V), RandomConstraint(rng, L),
+                         RandomConstraint(rng, V));
+    }
+    const std::vector<EdgePattern> converse_steps = ConverseChain(steps);
+
+    for (frontier::DensityMode mode :
+         {frontier::DensityMode::kForceSparse,
+          frontier::DensityMode::kForceDense, frontier::DensityMode::kAuto}) {
+      SCOPED_TRACE("density mode " + std::to_string(static_cast<int>(mode)));
+      frontier::DensityPolicy policy;
+      policy.mode = mode;
+      ExecContext backward_ctx;
+      auto backward = EvaluateChainGoverned(*graph, steps,
+                                            ChainDirection::kBackward,
+                                            backward_ctx, {}, policy);
+      ExecContext forward_ctx;
+      auto forward = EvaluateChainGoverned(converse, converse_steps,
+                                           ChainDirection::kForward,
+                                           forward_ctx, {}, policy);
+      ASSERT_TRUE(backward.ok());
+      ASSERT_TRUE(forward.ok());
+      EXPECT_EQ(backward->paths, ConversePaths(forward->paths));
+      EXPECT_EQ(backward->truncated, forward->truncated);
+      EXPECT_EQ(backward->stats.paths_yielded, forward->stats.paths_yielded);
+      EXPECT_EQ(backward->stats.steps_expanded,
+                forward->stats.steps_expanded);
+      EXPECT_EQ(backward->stats.bytes_charged, forward->stats.bytes_charged);
+      EXPECT_EQ(backward->stats.truncated, forward->stats.truncated);
+    }
+  }
 }
 
 TEST(EvaluatePlannedTest, DestinationSelectiveUsesBackward) {

@@ -126,101 +126,6 @@ TEST(ExecContextTest, TripMessagesNameTheLimit) {
   EXPECT_NE(bytes.ChargeBytes(1).message().find("byte"), std::string::npos);
 }
 
-// --- ExecLimits::SplitAcross — the budget-splitting arithmetic the
-// --- split_budgets parallel mode leans on.
-
-TEST(SplitAcrossTest, SharesSumToExactlyTheOriginal) {
-  ExecLimits limits;
-  limits.max_paths = 10;
-  limits.max_steps = 7;
-  limits.max_bytes = 23;
-  for (size_t n = 1; n <= 12; ++n) {
-    std::vector<ExecLimits> shares = limits.SplitAcross(n);
-    ASSERT_EQ(shares.size(), n);
-    size_t paths = 0, steps = 0, bytes = 0;
-    for (const ExecLimits& share : shares) {
-      ASSERT_TRUE(share.max_paths.has_value());
-      ASSERT_TRUE(share.max_steps.has_value());
-      ASSERT_TRUE(share.max_bytes.has_value());
-      paths += *share.max_paths;
-      steps += *share.max_steps;
-      bytes += *share.max_bytes;
-    }
-    EXPECT_EQ(paths, 10u) << "n = " << n;
-    EXPECT_EQ(steps, 7u) << "n = " << n;
-    EXPECT_EQ(bytes, 23u) << "n = " << n;
-  }
-}
-
-TEST(SplitAcrossTest, MoreShardsThanBudgetNeverMintsAllowance) {
-  // The regression this PR fixes: a budget of k split across n > k shards
-  // must hand k shards one unit and the rest ZERO — rounding every share
-  // up to 1 would mint n - k extra allowance and break the "budget of k
-  // yields the first k paths" contract.
-  ExecLimits limits;
-  limits.max_paths = 3;
-  std::vector<ExecLimits> shares = limits.SplitAcross(8);
-  ASSERT_EQ(shares.size(), 8u);
-  size_t total = 0, zero_shares = 0;
-  for (const ExecLimits& share : shares) {
-    ASSERT_TRUE(share.max_paths.has_value());
-    EXPECT_LE(*share.max_paths, 1u);
-    total += *share.max_paths;
-    if (*share.max_paths == 0) ++zero_shares;
-  }
-  EXPECT_EQ(total, 3u);
-  EXPECT_EQ(zero_shares, 5u);
-}
-
-TEST(SplitAcrossTest, ZeroBudgetSplitsToAllZeros) {
-  ExecLimits limits;
-  limits.max_steps = 0;
-  for (const ExecLimits& share : limits.SplitAcross(4)) {
-    ASSERT_TRUE(share.max_steps.has_value());
-    EXPECT_EQ(*share.max_steps, 0u);
-  }
-}
-
-TEST(SplitAcrossTest, UnlimitedDimensionsStayUnlimited) {
-  ExecLimits limits;  // Everything unlimited.
-  for (const ExecLimits& share : limits.SplitAcross(5)) {
-    EXPECT_FALSE(share.max_paths.has_value());
-    EXPECT_FALSE(share.max_steps.has_value());
-    EXPECT_FALSE(share.max_bytes.has_value());
-    EXPECT_FALSE(share.timeout.has_value());
-  }
-}
-
-TEST(SplitAcrossTest, TimeoutIsCopiedNotDivided) {
-  // Wall clock elapses concurrently for every shard; dividing it would
-  // make wide fan-outs time out early.
-  ExecLimits limits;
-  limits.timeout = std::chrono::milliseconds(80);
-  for (const ExecLimits& share : limits.SplitAcross(4)) {
-    ASSERT_TRUE(share.timeout.has_value());
-    EXPECT_EQ(*share.timeout, std::chrono::milliseconds(80));
-  }
-}
-
-TEST(SplitAcrossTest, ZeroShardsClampsToOne) {
-  ExecLimits limits;
-  limits.max_paths = 6;
-  std::vector<ExecLimits> shares = limits.SplitAcross(0);
-  ASSERT_EQ(shares.size(), 1u);
-  EXPECT_EQ(*shares[0].max_paths, 6u);
-}
-
-TEST(SplitAcrossTest, RemainderSpreadsOverTheFirstShards) {
-  ExecLimits limits;
-  limits.max_steps = 11;
-  std::vector<ExecLimits> shares = limits.SplitAcross(4);
-  ASSERT_EQ(shares.size(), 4u);
-  EXPECT_EQ(*shares[0].max_steps, 3u);
-  EXPECT_EQ(*shares[1].max_steps, 3u);
-  EXPECT_EQ(*shares[2].max_steps, 3u);
-  EXPECT_EQ(*shares[3].max_steps, 2u);
-}
-
 // --- RemainingLimits / ShardContext — the parallel fold's speculation
 // --- budget plumbing.
 

@@ -11,13 +11,19 @@
 //     server), budget trips and deadlines are terminal;
 //   * graceful drain: Shutdown() refuses new connections, completes the
 //     in-flight request with a well-formed response frame, and ends with
-//     zero live connections.
+//     zero live connections;
+//   * descriptor exhaustion: out of file descriptors, the server sheds
+//     the pending connection instead of leaving it hanging.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -394,6 +400,59 @@ TEST(NetClientTest, HostileBytesGetTheConnectionClosed) {
   EXPECT_LE(n, 0);  // No error frame, no resync: the connection just ends.
   ::close(fd);
   // And the server is unharmed for well-behaved peers.
+  QueryClient client("127.0.0.1", stack.server->port());
+  auto got = client.Execute(MakeRequest(AnswerMode::kExists));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->outcome.ok());
+}
+
+// Descriptor exhaustion: while the process is out of file descriptors the
+// server cannot accept. It must shed the pending connection — the peer sees
+// it end — instead of spinning on its level-triggered listener with the
+// peer hanging, and serve again once descriptors free up.
+TEST(NetClientTest, DescriptorExhaustionShedsInsteadOfHanging) {
+  TestStack stack;
+  ASSERT_TRUE(stack.Serve().ok());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(stack.server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int over = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(over, 0);
+
+  // Lower the soft limit to just above the descriptor table and fill what
+  // is left of it, so the server's next accept fails with EMFILE.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur =
+      std::min<rlim_t>(saved.rlim_cur, static_cast<rlim_t>(over) + 16);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> fillers;
+  for (int fd; (fd = ::dup(over)) >= 0;) fillers.push_back(fd);
+  const int fill_errno = errno;
+
+  const int connected = ::connect(
+      over, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  pollfd ends{over, POLLIN, 0};
+  const int ready = ::poll(&ends, 1, /*timeout=*/3000);
+  ssize_t received = 1;
+  if (ready == 1) {
+    uint8_t byte = 0;
+    received = ::recv(over, &byte, 1, 0);
+  }
+
+  // Give the descriptors back before asserting anything.
+  for (int fd : fillers) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ::close(over);
+
+  EXPECT_EQ(fill_errno, EMFILE);
+  EXPECT_EQ(connected, 0);
+  EXPECT_EQ(ready, 1) << "the over-limit connection was left hanging";
+  EXPECT_LE(received, 0);  // Closed (EOF or reset), never served.
+  EXPECT_GE(stack.obs.Value(obs::Metric::kNetConnectionsRefused), 1u);
+
   QueryClient client("127.0.0.1", stack.server->port());
   auto got = client.Execute(MakeRequest(AnswerMode::kExists));
   ASSERT_TRUE(got.ok()) << got.status();

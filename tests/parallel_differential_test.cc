@@ -9,9 +9,8 @@
 // cases, seeded and reproducible. Case arithmetic for the main identity
 // test alone: 6 seeds × 5 graph/spec draws × (up to 5 budget regimes +
 // 2 fault injections) × 3 pool widths {1, 2, 8} ≈ 630 differential
-// comparisons, comfortably past the 500-case bar before the iterator,
-// fluent-engine, planner, hard-cap, and split-budget suites below add
-// their own.
+// comparisons, comfortably past the 500-case bar before the fluent-engine
+// and hard-cap suites below add their own.
 
 #include <cstddef>
 #include <cstdint>
@@ -23,8 +22,6 @@
 #include "core/edge_pattern.h"
 #include "core/path_set.h"
 #include "core/traversal.h"
-#include "engine/chain_planner.h"
-#include "engine/path_iterator.h"
 #include "engine/traversal_builder.h"
 #include "generators/generators.h"
 #include "graph/multi_graph.h"
@@ -148,7 +145,6 @@ Outcome RunSequential(const EdgeUniverse& universe, const TraversalSpec& spec,
 
 Outcome RunParallel(const EdgeUniverse& universe, const TraversalSpec& spec,
                     const ExecLimits& limits, ThreadPool& pool,
-                    bool split_budgets = false,
                     obs::ObsRegistry* reg = nullptr) {
   ExecContext ctx(limits);
   ctx.AttachObs(reg);
@@ -156,7 +152,6 @@ Outcome RunParallel(const EdgeUniverse& universe, const TraversalSpec& spec,
   options.pool = &pool;
   options.shards_per_thread = 4;
   options.min_shard_size = 1;  // Force real sharding even on small seeds.
-  options.split_budgets = split_budgets;
   return FromResult(TraverseParallelGoverned(universe, spec, ctx, options));
 }
 
@@ -177,15 +172,6 @@ void ExpectIdentical(const Outcome& seq, const Outcome& par) {
   EXPECT_EQ(seq.stats.steps_expanded, par.stats.steps_expanded);
   EXPECT_EQ(seq.stats.bytes_charged, par.stats.bytes_charged);
   EXPECT_EQ(seq.stats.truncated, par.stats.truncated);
-}
-
-// True iff `prefix` is exactly the first prefix.size() paths of `full`.
-bool IsCanonicalPrefix(const PathSet& prefix, const PathSet& full) {
-  if (prefix.size() > full.size()) return false;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (!(prefix[i] == full[i])) return false;
-  }
-  return true;
 }
 
 class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {
@@ -261,8 +247,8 @@ TEST_P(ParallelDifferentialTest, GovernedByteIdentity) {
         SCOPED_TRACE("obs-attached, threads " +
                      std::to_string(pool->num_threads()));
         obs::ObsRegistry par_reg;
-        ExpectIdentical(seq, RunParallel(graph, spec, regimes[r], *pool,
-                                         /*split_budgets=*/false, &par_reg));
+        ExpectIdentical(seq,
+                        RunParallel(graph, spec, regimes[r], *pool, &par_reg));
       }
     }
 
@@ -376,61 +362,6 @@ TEST_P(ParallelDifferentialTest, UngovernedMatchesSequential) {
   }
 }
 
-// split_budgets trades byte-identity for bounded total speculation; the
-// documented contract is weaker but still strong: the result is a correct
-// canonical PREFIX of the full answer, with honest metadata.
-TEST_P(ParallelDifferentialTest, SplitBudgetsYieldsCanonicalPrefix) {
-  Rng rng(GetParam() * 0xda942042e4dd58b5ULL + 7);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 171 + c + 1);
-    TraversalSpec spec;
-    spec.steps = RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-
-    Outcome full = RunSequential(graph, spec, ExecLimits::Unlimited());
-    ASSERT_TRUE(full.hard.ok());
-    if (full.stats.steps_expanded == 0) continue;
-
-    ExecLimits limits;
-    limits.max_steps =
-        static_cast<size_t>(rng.Between(1, full.stats.steps_expanded));
-    if (full.stats.paths_yielded > 0 && rng.Chance(0.5)) {
-      limits.max_paths =
-          static_cast<size_t>(rng.Between(1, full.stats.paths_yielded));
-    }
-    for (ThreadPool* pool : Pools()) {
-      SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-      Outcome par =
-          RunParallel(graph, spec, limits, *pool, /*split_budgets=*/true);
-      ASSERT_TRUE(par.hard.ok());
-      EXPECT_TRUE(IsCanonicalPrefix(par.paths, full.paths));
-      if (par.truncated) {
-        EXPECT_FALSE(par.limit.ok());
-      } else {
-        EXPECT_EQ(par.paths, full.paths);  // Untruncated ⇒ the full answer.
-      }
-    }
-  }
-}
-
-// The lazy engine: a partition of sharded StepPathIterators drained on the
-// pool tiles the sequential DFS order exactly.
-TEST_P(ParallelDifferentialTest, IteratorDrainMatches) {
-  Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 43);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 191 + c + 1);
-    std::vector<EdgePattern> steps =
-        RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-    StepPathIterator it(graph, steps);
-    PathSet seq = DrainToPathSet(it);
-    EXPECT_FALSE(it.truncated());
-    for (ThreadPool* pool : Pools()) {
-      EXPECT_EQ(seq, ParallelDrainToPathSet(graph, steps, pool));
-    }
-  }
-}
-
 // The fluent engine: parallel move expansion must reproduce the sequential
 // traverser population (histories AND cursors, in order) and the
 // max_traversers hard-error point.
@@ -491,66 +422,6 @@ TEST_P(ParallelDifferentialTest, FluentEngineMatches) {
           EXPECT_EQ(seq_capped->traversers.size(),
                     par_result->traversers.size());
         }
-      }
-    }
-  }
-}
-
-// The planner entry point: forward atom chains route through the parallel
-// fold; everything else falls back — either way the governed outcome must
-// match the sequential planner byte-for-byte.
-TEST_P(ParallelDifferentialTest, PlannedEvaluationMatches) {
-  Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 71);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 231 + c + 1);
-    const uint32_t V = graph.num_vertices();
-    const uint32_t L = graph.num_labels();
-
-    // Chains (the parallel route), powers, and a union (the fallback).
-    PathExprPtr expr;
-    switch (rng.Below(3)) {
-      case 0:
-        expr = PathExpr::MakeJoin(
-            PathExpr::Atom(RandomPattern(rng, V, L, true)),
-            PathExpr::MakeJoin(PathExpr::Atom(RandomPattern(rng, V, L, false)),
-                               PathExpr::Atom(RandomPattern(rng, V, L, false))));
-        break;
-      case 1:
-        expr = PathExpr::MakePower(PathExpr::Atom(RandomPattern(rng, V, L, true)),
-                                   2 + rng.Below(2));
-        break;
-      default:
-        expr = PathExpr::MakeUnion(
-            PathExpr::MakeJoin(PathExpr::Labeled(0), PathExpr::AnyEdge()),
-            PathExpr::Atom(RandomPattern(rng, V, L, false)));
-        break;
-    }
-
-    ExecContext probe_ctx;
-    Result<GovernedPathSet> probe =
-        EvaluatePlannedGoverned(*expr, graph, probe_ctx);
-    ASSERT_TRUE(probe.ok());
-    const size_t steps = probe->stats.steps_expanded;
-
-    std::vector<ExecLimits> regimes;
-    regimes.push_back(ExecLimits::Unlimited());
-    if (steps > 0) {
-      ExecLimits limits;
-      limits.max_steps = static_cast<size_t>(rng.Between(1, steps));
-      regimes.push_back(limits);
-    }
-    for (const ExecLimits& limits : regimes) {
-      ExecContext seq_ctx(limits);
-      Outcome seq = FromResult(EvaluatePlannedGoverned(*expr, graph, seq_ctx));
-      for (ThreadPool* pool : Pools()) {
-        SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-        ParallelTraversalOptions options;
-        options.pool = pool;
-        options.min_shard_size = 1;
-        ExecContext par_ctx(limits);
-        ExpectIdentical(seq, FromResult(EvaluatePlannedParallelGoverned(
-                                 *expr, graph, par_ctx, options)));
       }
     }
   }
