@@ -13,7 +13,9 @@
 # 0/1/10% delta fill, view build + compaction throughput, hot-swap
 # latency), and E24 (network front door: open-loop latency-vs-offered-QPS
 # through real sockets with admission on/off, plus the wire-codec
-# round-trip floor) — writing one machine-readable BENCH_<n>.json
+# round-trip floor), and E25 (computed answer modes: count by
+# enumerate-then-reduce vs the count fold on anchored chains of depth
+# 2–6) — writing one machine-readable BENCH_<n>.json
 # per experiment via the --json flag (see MRPA_BENCH_MAIN in
 # bench/bench_common.h), plus a TRACE_<n>.json span/counter breakdown via
 # --trace (the ObsRegistry export; schema locked by tests/obs_json_test.cc).
@@ -49,7 +51,7 @@ cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
   --target bench_guard_overhead bench_parallel_traversal bench_path_arena \
            bench_snapshot bench_service bench_compiler bench_frontier \
-           bench_delta bench_net
+           bench_delta bench_net bench_answer_modes
 
 mkdir -p "${OUT_DIR}"
 
@@ -76,6 +78,10 @@ run_bench 21 bench_compiler
 run_bench 22 bench_frontier
 run_bench 23 bench_delta
 run_bench 24 bench_net
+# Trend-only (no committed baseline): wall-clock baselines recorded on one
+# machine do not gate another, and E25's claim is a ratio between its own
+# rows, which a single run on any host shows.
+run_bench 25 bench_answer_modes
 
 echo "Wrote $(ls "${OUT_DIR}"/BENCH_*.json | wc -l) result files to ${OUT_DIR}/"
 

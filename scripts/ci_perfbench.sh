@@ -11,6 +11,11 @@
 # "failed": 0. It gates correctness only; the numbers of a 3-second run are
 # not compared with anything (BENCHMARK.json's bounds do that).
 #
+# Counter gate: the deterministic counts (`run.py --counts --seed 1`) of
+# each workload must equal bench/baselines/perfbench_counts_seed1.json key
+# for key. A change that moves a count on purpose (bytes per query, frame
+# bytes, ...) updates that file and says why in CHANGES.md.
+#
 # Usage: scripts/ci_perfbench.sh
 
 set -euo pipefail
@@ -34,6 +39,31 @@ PY
   then
     echo "FAIL: ${workload} is not correct or has failed operations" >&2
     status=1
+  fi
+done
+
+echo "=== perfbench counter gate ==="
+baseline=bench/baselines/perfbench_counts_seed1.json
+for workload in remote_point remote_summary live_ingest; do
+  counts="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+    --seconds 1 --counts | tail -n 1)"
+  if ! python3 - "${baseline}" "${workload}" "${counts}" <<'PY'
+import json
+import sys
+
+path, workload, fresh = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+committed = json.load(open(path))[workload]
+differ = sorted(k for k in committed.keys() | fresh.keys()
+                if committed.get(k) != fresh.get(k))
+for key in differ:
+    print(f"FAIL: {workload} count {key}: committed {committed.get(key)}, "
+          f"now {fresh.get(key)}", file=sys.stderr)
+sys.exit(1 if differ else 0)
+PY
+  then
+    status=1
+  else
+    echo "${workload}: counts equal ${baseline}"
   fi
 done
 exit "${status}"

@@ -82,10 +82,8 @@ std::vector<Edge> CollectMatchingEdges(const EdgeUniverse& universe,
   // Access path 3: a single allowed head — use the in-index.
   if (auto head = pattern.head().SingleId(); head.has_value()) {
     if (*head < universe.num_vertices()) {
-      for (EdgeIndex idx : universe.InEdgeIndices(*head)) {
-        const Edge& e = universe.EdgeAt(idx);
-        if (pattern.Matches(e)) out.push_back(e);
-      }
+      ForEachMatchingInEdge(universe, *head, pattern,
+                            [&](const Edge& e) { out.push_back(e); });
     }
     std::sort(out.begin(), out.end());
     return out;

@@ -15,6 +15,7 @@
 #define MRPA_CORE_EDGE_PATTERN_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,23 @@ void ForEachMatchingOutEdge(const EdgeUniverse& universe, VertexId v,
   }
   for (const Edge& e : universe.OutEdges(v)) {
     if (pattern.Matches(e)) fn(e);
+  }
+}
+
+// Invokes `fn(edge)` for every in-edge of `v` matching `pattern`, in
+// in-index (canonical edge) order: the backward counterpart of
+// ForEachMatchingOutEdge. Every in-edge of v has head v, so one head test
+// covers the run.
+template <typename Fn>
+void ForEachMatchingInEdge(const EdgeUniverse& universe, VertexId v,
+                           const EdgePattern& pattern, Fn&& fn) {
+  if (!pattern.head().Matches(v)) return;
+  const std::span<const Edge> all = universe.AllEdges();
+  for (EdgeIndex idx : universe.InEdgeIndices(v)) {
+    const Edge& e = all[idx];
+    if (pattern.tail().Matches(e.tail) && pattern.label().Matches(e.label)) {
+      fn(e);
+    }
   }
 }
 

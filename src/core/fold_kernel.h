@@ -189,17 +189,7 @@ class FoldKernel {
     } else if constexpr (kForward) {
       ForEachMatchingOutEdge(universe_, v, *step_, emit);
     } else {
-      // Every in-edge of v has head v: one head test covers the run.
-      if (step_->head().Matches(v)) {
-        const std::span<const Edge> all = universe_.AllEdges();
-        for (EdgeIndex idx : universe_.InEdgeIndices(v)) {
-          const Edge& e = all[idx];
-          if (step_->tail().Matches(e.tail) &&
-              step_->label().Matches(e.label)) {
-            emit(e);
-          }
-        }
-      }
+      ForEachMatchingInEdge(universe_, v, *step_, emit);
     }
     if (record.end == RunEnd::kComplete &&
         (!ctx_.CheckStep(record.matches + 1).ok() ||

@@ -193,6 +193,244 @@ Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
   return finish();
 }
 
+constexpr uint64_t kSaturated = std::numeric_limits<uint64_t>::max();
+
+uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
+  uint64_t sum;
+  return __builtin_add_overflow(a, b, &sum) ? kSaturated : sum;
+}
+
+uint64_t SaturatingMul(uint64_t a, uint64_t b) {
+  uint64_t product;
+  return __builtin_mul_overflow(a, b, &product) ? kSaturated : product;
+}
+
+// `paths` chains of one count-fold level end at `vertex`, their open end.
+struct Multiplicity {
+  VertexId vertex;
+  uint64_t paths;
+};
+
+// Merges a level's (vertex, multiplicity) pairs into its run: one entry
+// per distinct open end, sorted by vertex. Levels of 64 pairs or more are
+// sorted by an LSD radix sort over the bytes that ids below `num_vertices`
+// use — a few linear passes through `spare`, where a comparison sort
+// mispredicts on every other compare of a level's scattered ids; below
+// that, the passes' fixed 256-bucket cost outweighs a comparison sort.
+void MergeByVertex(std::vector<Multiplicity>& level, uint32_t num_vertices,
+                   std::vector<Multiplicity>& spare) {
+  if (level.size() < 64) {
+    std::sort(level.begin(), level.end(),
+              [](const Multiplicity& a, const Multiplicity& b) {
+                return a.vertex < b.vertex;
+              });
+  } else {
+    spare.resize(level.size());
+    for (uint32_t shift = 0; shift < 32 && (num_vertices - 1) >> shift != 0;
+         shift += 8) {
+      size_t starts[257] = {};
+      for (const Multiplicity& m : level) {
+        ++starts[((m.vertex >> shift) & 0xff) + 1];
+      }
+      for (size_t b = 0; b < 256; ++b) starts[b + 1] += starts[b];
+      for (const Multiplicity& m : level) {
+        spare[starts[(m.vertex >> shift) & 0xff]++] = m;
+      }
+      level.swap(spare);
+    }
+  }
+  size_t kept = 0;
+  for (const Multiplicity& m : level) {
+    if (kept > 0 && level[kept - 1].vertex == m.vertex) {
+      level[kept - 1].paths = SaturatingAdd(level[kept - 1].paths, m.paths);
+    } else {
+      level[kept++] = m;
+    }
+  }
+  level.resize(kept);
+}
+
+// Prefetches what the walks a few run entries ahead will read: a level's
+// vertices are scattered over the graph, so each walk would otherwise start
+// with cache misses. Forward that is the out-run; backward the in-index run,
+// and two entries ahead (its index run fetched by then) the edges it names.
+template <ChainDirection kEnd>
+void PrefetchAhead(const EdgeUniverse& universe,
+                   const std::vector<Multiplicity>& level, size_t i) {
+  constexpr size_t kAhead = 4;
+  if (i + kAhead < level.size()) {
+    const VertexId v = level[i + kAhead].vertex;
+    if constexpr (kEnd == ChainDirection::kForward) {
+      __builtin_prefetch(universe.OutEdges(v).data());
+    } else {
+      __builtin_prefetch(universe.InEdgeIndices(v).data());
+    }
+  }
+  if constexpr (kEnd == ChainDirection::kBackward) {
+    if (i + kAhead / 2 < level.size()) {
+      const std::span<const Edge> all = universe.AllEdges();
+      for (EdgeIndex idx :
+           universe.InEdgeIndices(level[i + kAhead / 2].vertex)) {
+        __builtin_prefetch(&all[idx]);
+      }
+    }
+  }
+}
+
+// What one level of the enumerating fold charges.
+struct LevelCharge {
+  uint64_t steps = 0;
+  uint64_t bytes = 0;
+};
+
+// The count fold behind CountChainGoverned (contract in core/traversal.h).
+// It runs the enumerating fold's level loop over multiplicities: a level is
+// the sorted run of (open end u, c(u) = chains ending at u), and extending
+// it by a step visits each distinct u's matching edges once, through the
+// same per-vertex walk as FoldKernel::Expand. With m(u) the matches at u,
+// enumeration would charge, per level, Σ c(u)·(m(u)+1) steps and
+// Σ c(u)·m(u)·kNodeBytes bytes, plus Σ c(u)·m(u) paths on the final level
+// (the seed level: one step and kNodeBytes per seed, and one path each when
+// it is also the final level).
+template <ChainDirection kEnd>
+Result<GovernedCount> CountFold(const EdgeUniverse& universe,
+                                const std::vector<EdgePattern>& steps,
+                                ExecContext& ctx) {
+  constexpr bool kForward = kEnd == ChainDirection::kForward;
+  // Enumerate-then-reduce: the definition the fold matches, and the
+  // fallback whenever a countable budget would trip.
+  auto enumerate = [&]() -> Result<GovernedCount> {
+    Result<GovernedPathSet> enumerated =
+        Fold<kEnd>(universe, steps, {}, {}, ctx);
+    if (!enumerated.ok()) return enumerated.status();
+    GovernedCount reduced;
+    reduced.count = enumerated->paths.size();
+    reduced.truncated = enumerated->truncated;
+    reduced.limit = std::move(enumerated->limit);
+    reduced.stats = enumerated->stats;
+    return reduced;
+  };
+  if (steps.empty()) return enumerate();  // {ε}: one ChargePaths.
+
+  obs::ObsRegistry* const reg = ctx.observer();
+  const ExecStats before = ctx.Snapshot();
+  const ExecLimits remaining = ctx.RemainingLimits();
+  ExecSpan run_span(ctx, kForward ? "count" : "count.backward");
+  GovernedCount out;
+  auto finish = [&]() -> Result<GovernedCount> {
+    if (reg != nullptr) AddExecStatsDelta(*reg, before, ctx.Snapshot());
+    return std::move(out);
+  };
+  // A poll or an injected fault tripped the context: count 0, truncated.
+  auto tripped = [&]() {
+    out.truncated = true;
+    out.limit = ctx.limit_status();
+    out.stats = ctx.Snapshot();
+    return finish();
+  };
+
+  const size_t last_level = steps.size() - 1;
+  auto step_at = [&](size_t k) -> const EdgePattern& {
+    return kForward ? steps[k] : steps[last_level - k];
+  };
+  auto open_end = [](const Edge& e) { return kForward ? e.head : e.tail; };
+  std::vector<LevelCharge> charges(steps.size());
+  uint64_t total_steps = 0;
+  uint64_t total_bytes = 0;
+  uint64_t total_paths = 0;
+  auto exceeds = [](const std::optional<size_t>& left, uint64_t total) {
+    return left.has_value() && total > *left;
+  };
+  auto over_budget = [&] {
+    return exceeds(remaining.max_steps, total_steps) ||
+           exceeds(remaining.max_bytes, total_bytes) ||
+           exceeds(remaining.max_paths, total_paths);
+  };
+
+  if (!ctx.CheckDeadline().ok()) return tripped();
+  std::vector<Multiplicity> level;
+  std::vector<Multiplicity> spare;
+  {
+    const std::vector<Edge> seeds = CollectMatchingEdges(universe, step_at(0));
+    charges[0] = {seeds.size(),
+                  SaturatingMul(seeds.size(), PathArena::kNodeBytes)};
+    if (last_level == 0) total_paths = seeds.size();
+    level.reserve(seeds.size());
+    for (const Edge& e : seeds) level.push_back({open_end(e), 1});
+    MergeByVertex(level, universe.num_vertices(), spare);
+  }
+  total_steps = charges[0].steps;
+  total_bytes = charges[0].bytes;
+
+  std::vector<Multiplicity> next;
+  for (size_t k = 1; k <= last_level && !level.empty() && !over_budget();
+       ++k) {
+    if (!ctx.CheckDeadline().ok()) return tripped();
+    const EdgePattern& step = step_at(k);
+    const bool final_level = k == last_level;
+    uint64_t level_steps = 0;
+    uint64_t matched = 0;  // Σ c(u)·m(u): the level's extensions.
+    next.clear();
+    for (size_t i = 0; i < level.size(); ++i) {
+      if (i % ExecContext::kPollStride == ExecContext::kPollStride - 1 &&
+          !ctx.CheckDeadline().ok()) {
+        return tripped();
+      }
+      PrefetchAhead<kEnd>(universe, level, i);
+      const Multiplicity run = level[i];
+      uint64_t m = 0;
+      auto visit = [&](const Edge& e) {
+        ++m;
+        if (!final_level) next.push_back({open_end(e), run.paths});
+      };
+      if constexpr (kForward) {
+        ForEachMatchingOutEdge(universe, run.vertex, step, visit);
+      } else {
+        ForEachMatchingInEdge(universe, run.vertex, step, visit);
+      }
+      level_steps = SaturatingAdd(level_steps, SaturatingMul(run.paths, m + 1));
+      matched = SaturatingAdd(matched, SaturatingMul(run.paths, m));
+    }
+    charges[k] = {level_steps, SaturatingMul(matched, PathArena::kNodeBytes)};
+    if (final_level) total_paths = matched;
+    total_steps = SaturatingAdd(total_steps, charges[k].steps);
+    total_bytes = SaturatingAdd(total_bytes, charges[k].bytes);
+    MergeByVertex(next, universe.num_vertices(), spare);
+    level.swap(next);
+  }
+  if (over_budget()) return enumerate();
+
+  // Within budget, but beyond what the counters can hold: only unlimited
+  // dimensions get here (a saturated total exceeds every finite budget).
+  auto overflows = [](uint64_t total, size_t used) {
+    return total == kSaturated || total > kSaturated - used;
+  };
+  if (overflows(total_steps, before.steps_expanded) ||
+      overflows(total_bytes, before.bytes_charged) ||
+      overflows(total_paths, before.paths_yielded)) {
+    out.count = total_paths;
+    out.truncated = true;
+    out.limit = Status::ResourceExhausted(
+        "chain count exceeds the 64-bit execution counters");
+    out.stats = ctx.Snapshot();
+    out.stats.truncated = true;
+    return finish();
+  }
+
+  // The whole chain fits: charge what enumeration would, level by level.
+  // A level with no chains charges nothing, as in the enumerating fold.
+  for (size_t k = 0; k <= last_level && charges[k].steps > 0; ++k) {
+    if (!ctx.CheckStep(charges[k].steps).ok() ||
+        !ctx.ChargeBytes(charges[k].bytes).ok() ||
+        (k == last_level && !ctx.ChargePaths(total_paths).ok())) {
+      return tripped();
+    }
+  }
+  out.count = total_paths;
+  out.stats = ctx.Snapshot();
+  return finish();
+}
+
 // The pre-arena fold, retained verbatim as the differential oracle (the
 // arena ⇄ materialized identity suites) and the E17 baseline: every
 // extension copies its full prefix into a fresh Path and every level is
@@ -380,6 +618,16 @@ Result<GovernedPathSet> EvaluateChainGoverned(
   }
   return Fold<ChainDirection::kBackward>(universe, steps, limits, density,
                                          ctx);
+}
+
+Result<GovernedCount> CountChainGoverned(const EdgeUniverse& universe,
+                                         const std::vector<EdgePattern>& steps,
+                                         ChainDirection direction,
+                                         ExecContext& ctx) {
+  if (direction == ChainDirection::kForward) {
+    return CountFold<ChainDirection::kForward>(universe, steps, ctx);
+  }
+  return CountFold<ChainDirection::kBackward>(universe, steps, ctx);
 }
 
 Result<GovernedPathSet> TraverseGovernedMaterialized(

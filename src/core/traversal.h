@@ -13,6 +13,7 @@
 #ifndef MRPA_CORE_TRAVERSAL_H_
 #define MRPA_CORE_TRAVERSAL_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -107,6 +108,43 @@ Result<GovernedPathSet> EvaluateChainGoverned(
     ChainDirection direction, ExecContext& ctx,
     const PathSetLimits& limits = {},
     const frontier::DensityPolicy& density = {});
+
+// A governed count: how many paths a chain denotes, under the truncation
+// contract of GovernedPathSet. A truncated count is a lower bound.
+struct GovernedCount {
+  uint64_t count = 0;
+  // True iff a limit stopped evaluation early.
+  bool truncated = false;
+  // OK when complete; the tripping Status when truncated.
+  Status limit;
+  ExecStats stats;
+};
+
+// The size of EvaluateChainGoverned's answer, computed without enumerating
+// it (DESIGN.md "One fold, both ends"). A fold carries sorted (vertex,
+// multiplicity) runs from level to level — the chain's counting-semiring
+// fold from its seed end — and derives from them, in saturating
+// arithmetic, the charges enumeration would make under the one accounting
+// rule. The answer is defined as enumerate-then-reduce:
+//
+//   * When every total fits ctx's remaining countable budgets, it charges
+//     them level by level (CheckStep, ChargeBytes, and ChargePaths on the
+//     final level) and returns the count.
+//   * When a countable budget would trip, it charges nothing and returns the
+//     size of EvaluateChainGoverned's (truncated) answer on the untouched
+//     context.
+//
+// So count, truncation, limit Status and ExecStats (elapsed time aside)
+// equal enumeration's under every countable budget. Deadline and
+// cancellation are polled at every level and every 64 frontier vertices; a
+// poll trip, or an injected fault while charging, yields a truncated count
+// of 0. A total beyond the counters' range under unlimited budgets yields
+// the saturated count, truncated with kResourceExhausted, and charges
+// nothing: a count never wraps.
+Result<GovernedCount> CountChainGoverned(const EdgeUniverse& universe,
+                                         const std::vector<EdgePattern>& steps,
+                                         ChainDirection direction,
+                                         ExecContext& ctx);
 
 // The pre-arena fold: every extension copies its full prefix into a fresh
 // Path, every level is canonicalized through PathSetBuilder. Same contract,

@@ -157,6 +157,7 @@ void QueryServer::DispatchWorker() {
 
     service::QueryRequest request;
     request.kind = item.request.kind;
+    request.mode = item.request.mode;
     request.steps = std::move(item.request.steps);
     request.limits = item.request.limits;
     if (item.request.deadline_micros.has_value()) {
@@ -393,7 +394,7 @@ bool QueryServer::ParseAndDispatch(Connection& conn) {
   }
   MaybeDispatch(conn);
   const bool should_pause =
-      conn.pending() >= options_.max_pending_requests ||
+      conn.pending() >= options_.max_pending_requests || OutputHeld(conn) ||
       drain_started_;
   if (should_pause && !conn.paused) {
     conn.paused = true;
@@ -403,8 +404,12 @@ bool QueryServer::ParseAndDispatch(Connection& conn) {
   return true;
 }
 
+bool QueryServer::OutputHeld(const Connection& conn) const {
+  return conn.out.size() - conn.out_pos > options_.max_frame_bytes;
+}
+
 void QueryServer::MaybeDispatch(Connection& conn) {
-  if (conn.in_dispatch || conn.requests.empty()) return;
+  if (conn.in_dispatch || conn.requests.empty() || OutputHeld(conn)) return;
   WorkItem item;
   item.conn_id = conn.id;
   item.request = std::move(conn.requests.front());
@@ -432,17 +437,15 @@ void QueryServer::DrainCompletions() {
     Record(obs::Hist::kNetFrameBytes, done.frame.size());
     conn.out.insert(conn.out.end(), done.frame.begin(), done.frame.end());
     conn.in_dispatch = false;
-    MaybeDispatch(conn);
-    // Room freed: resume reading (never during drain).
-    if (conn.paused && !drain_started_ &&
-        conn.pending() < options_.max_pending_requests) {
-      conn.paused = false;
-      // Bytes may have queued in conn.in while paused; parse them now.
-      if (!ParseAndDispatch(conn)) continue;
-    }
+    // Flush what the socket takes now; HandleWritable then dispatches the
+    // next request and resumes reading, unless the output holds them.
+    HandleWritable(conn);
     auto again = conns_.find(done.conn_id);
-    if (again == conns_.end()) continue;
-    HandleWritable(again->second);  // Opportunistic flush before epoll.
+    if (again != conns_.end() && OutputHeld(again->second)) {
+      // Nothing more is dispatched for this connection until its output
+      // drains, so each hold is counted once.
+      Count(obs::Metric::kNetBackpressurePauses);
+    }
   }
 }
 
@@ -466,6 +469,24 @@ void QueryServer::HandleWritable(Connection& conn) {
       // Fully drained: every received request is answered and flushed.
       CloseConnection(conn.id);
       return;
+    }
+  } else if (conn.out_pos >= conn.out.size() - conn.out_pos) {
+    // Drop the written prefix once it outweighs the rest, so a slow
+    // reader's buffer stays within twice its unflushed bytes.
+    conn.out.erase(conn.out.begin(),
+                   conn.out.begin() + static_cast<ptrdiff_t>(conn.out_pos));
+    conn.out_pos = 0;
+  }
+  if (OutputHeld(conn)) {
+    conn.paused = true;  // Hold reading as well as dispatch.
+  } else {
+    MaybeDispatch(conn);
+    // Room freed: resume reading (never during drain).
+    if (conn.paused && !drain_started_ &&
+        conn.pending() < options_.max_pending_requests) {
+      conn.paused = false;
+      // Bytes may have queued in conn.in while paused; parse them now.
+      if (!ParseAndDispatch(conn)) return;
     }
   }
   UpdateInterest(conn);

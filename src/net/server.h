@@ -18,6 +18,11 @@
 //     EPOLLIN interest is dropped — backpressure, counted in
 //     net.backpressure_pauses — and TCP flow control pushes back on the
 //     client. Reading resumes as responses drain.
+//   * Bounded output. A connection whose unflushed response bytes exceed
+//     Options::max_frame_bytes is held — no dispatch and no reading, also
+//     counted in net.backpressure_pauses — until HandleWritable drains it,
+//     so a peer that pipelines requests and never reads costs at most
+//     about two maximum-size frames of server memory.
 //   * FIFO responses. Requests on one connection dispatch one at a time,
 //     in arrival order, so responses come back in request order — the
 //     protocol has no correlation ids, byte order IS the correlation.
@@ -149,6 +154,9 @@ class QueryServer {
   // dispatches; returns false when the stream turned hostile and the
   // connection was closed.
   bool ParseAndDispatch(Connection& conn);
+  // Unflushed output beyond one maximum-size frame holds the connection:
+  // no dispatch and no reading until HandleWritable drains it.
+  bool OutputHeld(const Connection& conn) const;
   void MaybeDispatch(Connection& conn);
   void UpdateInterest(Connection& conn);
   void CloseConnection(uint64_t id);

@@ -603,13 +603,13 @@ WireResponse MakeWireResponse(const service::QueryResponse& response,
   wire.attempts = response.attempts;
   wire.stats = response.result.stats;
   wire.mode = mode;
-  wire.exists = !response.result.paths.empty();
+  const uint64_t count =
+      response.count.value_or(response.result.paths.size());
+  wire.exists = count > 0;
   // The count is mode-faithful: kExists ships one bit, so the projected
   // count collapses with it — what this helper returns is exactly what a
   // client decodes after the round trip.
-  wire.count =
-      mode == AnswerMode::kExists ? (wire.exists ? 1 : 0)
-                                  : response.result.paths.size();
+  wire.count = mode == AnswerMode::kExists ? (wire.exists ? 1 : 0) : count;
   if (mode == AnswerMode::kPaths) wire.paths = response.result.paths;
   return wire;
 }

@@ -24,8 +24,10 @@
 //      the compact answer shapes "Representing Paths in Graph Database
 //      Pattern Matching" argues a path engine should serve, carried here so
 //      a count query over a million-path result costs a constant-size
-//      frame. The truncation framing survives all three modes: a truncated
-//      count is labeled partial exactly like a truncated path set.
+//      frame — and, because the service computes counts with the count
+//      fold (CountChainGoverned), no enumeration either. The truncation
+//      framing survives all three modes: a truncated count is labeled
+//      partial exactly like a truncated path set.
 //
 // Frame layout (all integers little-endian at fixed offsets):
 //
@@ -76,12 +78,9 @@ enum class FrameType : uint8_t {
   kResponse = 2,
 };
 
-// How the answer travels (see the file comment).
-enum class AnswerMode : uint8_t {
-  kPaths = 0,
-  kCount = 1,
-  kExists = 2,
-};
+// How the answer travels (see the file comment). The service executes the
+// same mode: kCount and kExists are computed, never projected from paths.
+using AnswerMode = service::AnswerMode;
 
 // One query as it crosses the wire. Mirrors service::QueryRequest, plus the
 // transport-only fields: the answer mode, a priority byte (carried for
@@ -167,9 +166,10 @@ Result<std::vector<uint8_t>> EncodeResponseFrame(
 Result<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload);
 Result<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload);
 
-// The response QueryService hands back, projected into `mode`. kCount and
-// kExists drop the materialized paths (the summary plus the full
-// degradation contract travel; the path flood does not).
+// The response QueryService hands back, projected into `mode`. The count
+// is the response's computed one (kCount/kExists executions), else the
+// number of its paths; kCount and kExists ship no paths (the summary plus
+// the full degradation contract travel; the path flood does not).
 WireResponse MakeWireResponse(const service::QueryResponse& response,
                               AnswerMode mode);
 

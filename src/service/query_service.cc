@@ -176,40 +176,56 @@ Result<QueryResponse> QueryService::ExecuteOnce(
   ExecContext ctx(effective, request.token);
   ctx.AttachObs(obs_);
 
-  Result<GovernedPathSet> governed =
-      Status::Internal("query kind not dispatched");
-  switch (request.kind) {
-    case QueryKind::kTraversal: {
-      TraversalSpec spec;
-      spec.steps = request.steps;
-      if (pool_ != nullptr) {
-        ParallelTraversalOptions parallel;
-        parallel.pool = pool_;
-        governed =
-            TraverseParallelGoverned(guard.universe(), spec, ctx, parallel);
-      } else {
-        governed = TraverseGoverned(guard.universe(), spec, ctx);
+  QueryResponse response;
+  if (request.mode == AnswerMode::kPaths) {
+    Result<GovernedPathSet> governed =
+        Status::Internal("query kind not dispatched");
+    switch (request.kind) {
+      case QueryKind::kTraversal: {
+        TraversalSpec spec;
+        spec.steps = request.steps;
+        if (pool_ != nullptr) {
+          ParallelTraversalOptions parallel;
+          parallel.pool = pool_;
+          governed =
+              TraverseParallelGoverned(guard.universe(), spec, ctx, parallel);
+        } else {
+          governed = TraverseGoverned(guard.universe(), spec, ctx);
+        }
+        break;
       }
-      break;
+      case QueryKind::kChainForward:
+        governed = EvaluateChainGoverned(guard.universe(), request.steps,
+                                         ChainDirection::kForward, ctx);
+        break;
+      case QueryKind::kChainBackward:
+        governed = EvaluateChainGoverned(guard.universe(), request.steps,
+                                         ChainDirection::kBackward, ctx);
+        break;
     }
-    case QueryKind::kChainForward:
-      governed = EvaluateChainGoverned(guard.universe(), request.steps,
-                                       ChainDirection::kForward, ctx);
-      break;
-    case QueryKind::kChainBackward:
-      governed = EvaluateChainGoverned(guard.universe(), request.steps,
-                                       ChainDirection::kBackward, ctx);
-      break;
+    if (!governed.ok()) return governed.status();
+    response.result = std::move(*governed);
+  } else {
+    // Counted on this thread, in the direction the kind names.
+    Result<GovernedCount> counted = CountChainGoverned(
+        guard.universe(), request.steps,
+        request.kind == QueryKind::kChainBackward ? ChainDirection::kBackward
+                                                  : ChainDirection::kForward,
+        ctx);
+    if (!counted.ok()) return counted.status();
+    response.result.truncated = counted->truncated;
+    response.result.limit = std::move(counted->limit);
+    response.result.stats = counted->stats;
+    response.count = counted->count;
   }
-  if (!governed.ok()) return governed.status();
 
   // A transient fault injected at an ExecContext probe site surfaces as a
   // truncated result with the fault in `limit`; to the service that is an
   // attempt failure (the partial output is discarded, the query is a pure
   // read), not an answer.
-  if (governed->truncated &&
-      RetryPolicy::IsRetryableExecution(governed->limit)) {
-    return governed->limit;
+  if (response.result.truncated &&
+      RetryPolicy::IsRetryableExecution(response.result.limit)) {
+    return response.result.limit;
   }
 
   if (obs_ != nullptr) {
@@ -219,8 +235,6 @@ Result<QueryResponse> QueryService::ExecuteOnce(
                      std::max<int64_t>(0, ctx.Snapshot().elapsed_nanos)));
   }
 
-  QueryResponse response;
-  response.result = std::move(*governed);
   response.snapshot_version = guard.version();
   return response;
 }

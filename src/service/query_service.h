@@ -71,8 +71,19 @@ enum class QueryKind {
   kChainBackward,  // The chain planner's backward (in-index) fold.
 };
 
+// What the caller wants back. kPaths materializes the answer; kCount and
+// kExists get its size (exists: size > 0) from the count fold
+// (CountChainGoverned), which enumerates nothing unless a countable budget
+// would trip — with the counters, truncation and limit of kPaths.
+enum class AnswerMode : uint8_t {
+  kPaths = 0,
+  kCount = 1,
+  kExists = 2,
+};
+
 struct QueryRequest {
   QueryKind kind = QueryKind::kTraversal;
+  AnswerMode mode = AnswerMode::kPaths;
   // One EdgePattern per step, as in TraversalSpec / EvaluateChain.
   std::vector<EdgePattern> steps;
   // The caller's budgets; the tenant's quota ceilings clamp them
@@ -86,8 +97,11 @@ struct QueryRequest {
 
 struct QueryResponse {
   // Paths, truncation flag, terminal Status, and ExecStats — the standard
-  // governed result shape.
+  // governed result shape. The paths stay empty for kCount and kExists.
   GovernedPathSet result;
+  // The answer's size, set by kCount and kExists executions; unset when
+  // the paths are the answer.
+  std::optional<uint64_t> count;
   // Snapshot image version the successful attempt ran against (0 when the
   // request never reached a snapshot, e.g. a shed).
   uint64_t snapshot_version = 0;

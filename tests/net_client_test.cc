@@ -459,5 +459,107 @@ TEST(NetClientTest, DescriptorExhaustionShedsInsteadOfHanging) {
   EXPECT_TRUE(got->outcome.ok());
 }
 
+// A peer that pipelines requests and never reads must not grow the
+// server's output without bound: once its unflushed answers exceed one
+// maximum-size frame, the server stops dispatching (and reading) its
+// requests. When the peer reads again, every answer arrives, in order.
+TEST(NetClientTest, NonReadingPeerHoldsDispatchUntilItReads) {
+  TestStack stack;
+  QueryServer::Options options;
+  options.max_frame_bytes = 64 << 10;
+  ASSERT_TRUE(stack.Serve(options).ok());
+
+  // Request i asks for the first 1000 + i % 100 three-step paths: an
+  // answer of about 40 KB, well above what the kernel's socket buffers hold
+  // in total, whose size tells the answers apart.
+  constexpr size_t kRequests = 2000;
+  const std::vector<EdgePattern> steps(3, EdgePattern::Any());
+  service::QueryRequest all;
+  all.steps = steps;
+  auto everything = stack.service->Execute("tenant", all);
+  ASSERT_TRUE(everything.ok()) << everything.status();
+  ASSERT_GE(everything->result.paths.size(), 1100u);
+  std::vector<uint8_t> stream;
+  for (size_t i = 0; i < kRequests; ++i) {
+    WireRequest request = MakeRequest(AnswerMode::kPaths);
+    request.steps = steps;
+    request.limits.max_paths = 1000 + i % 100;
+    auto frame = EncodeRequestFrame(request);
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    stream.insert(stream.end(), frame->begin(), frame->end());
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(stack.server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // Sent from a second thread: once the server holds the connection, the
+  // unread requests fill the socket buffers and the send blocks until this
+  // thread reads. However the test ends, the socket is shut down (which
+  // ends a blocked send) and the writer joined before the stream goes.
+  std::thread writer([&] {
+    for (size_t sent = 0; sent < stream.size();) {
+      const ssize_t n = ::send(fd, stream.data() + sent, stream.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+  });
+  struct StopWriter {
+    std::thread& writer;
+    int fd;
+    ~StopWriter() {
+      ::shutdown(fd, SHUT_RDWR);
+      writer.join();
+      ::close(fd);
+    }
+  } stop_writer{writer, fd};
+
+  // Wait until dispatching stops moving (or 10 s pass).
+  uint64_t dispatched = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int unchanged = 0;
+       unchanged < 5 && std::chrono::steady_clock::now() < give_up;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const uint64_t now = stack.obs.Value(obs::Metric::kNetRequestsDispatched);
+    unchanged = now == dispatched ? unchanged + 1 : 0;
+    dispatched = now;
+  }
+  EXPECT_LT(dispatched, kRequests / 4);
+  EXPECT_GE(stack.obs.Value(obs::Metric::kNetBackpressurePauses), 1u);
+
+  std::vector<uint8_t> in;
+  std::vector<uint8_t> chunk(64 << 10);
+  size_t answered = 0;
+  while (answered < kRequests) {
+    const ExtractResult extracted = ExtractFrame(in, options.max_frame_bytes);
+    if (extracted.state == FrameState::kFrame) {
+      auto response = DecodeResponsePayload(
+          std::span<const uint8_t>(in).subspan(
+              kFrameHeaderBytes, extracted.frame_bytes - kFrameHeaderBytes));
+      ASSERT_TRUE(response.ok()) << response.status();
+      ASSERT_TRUE(response->outcome.ok()) << response->outcome;
+      ASSERT_EQ(response->paths.size(), 1000 + answered % 100)
+          << "answer " << answered;
+      in.erase(in.begin(),
+               in.begin() + static_cast<ptrdiff_t>(extracted.frame_bytes));
+      ++answered;
+      continue;
+    }
+    ASSERT_EQ(extracted.state, FrameState::kNeedMore);
+    const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
+    ASSERT_GT(n, 0) << "the server closed after " << answered << " answers";
+    in.insert(in.end(), chunk.begin(), chunk.begin() + n);
+  }
+  EXPECT_EQ(stack.obs.Value(obs::Metric::kNetRequestsDispatched), kRequests);
+}
+
 }  // namespace
 }  // namespace mrpa::net

@@ -287,6 +287,19 @@ TEST(NetWireTest, MakeWireResponseProjectsModes) {
   const WireResponse exists = MakeWireResponse(executed, AnswerMode::kExists);
   EXPECT_TRUE(exists.paths.empty());
   EXPECT_TRUE(exists.exists);
+
+  // A count/exists execution carries its computed count and no paths.
+  service::QueryResponse counted;
+  counted.count = uint64_t{1} << 40;
+  counted.snapshot_version = 7;
+  const WireResponse big = MakeWireResponse(counted, AnswerMode::kCount);
+  EXPECT_EQ(big.count, uint64_t{1} << 40);
+  EXPECT_TRUE(big.exists);
+  const WireResponse hit = MakeWireResponse(counted, AnswerMode::kExists);
+  EXPECT_EQ(hit.count, 1u);
+  EXPECT_TRUE(hit.exists);
+  counted.count = 0;
+  EXPECT_FALSE(MakeWireResponse(counted, AnswerMode::kExists).exists);
 }
 
 TEST(NetWireTest, DegradedWireResponseMatchesShedShape) {
