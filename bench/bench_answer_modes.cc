@@ -18,6 +18,13 @@
 // Every iteration answers the same 8 anchors (fixed seed); both modes must
 // agree on the total count, which the run checks.
 //
+// BM_BudgetedCountAnswer runs depth-4 forward chains on the ER graph under
+// net_chaos_test's free-tier quota (max_paths 10, max_steps 60), which
+// every such chain trips. The count fold then answers by enumerating, so
+// its row shows what finding that out costs on top of enumeration: for an
+// unanchored chain ([_,_,_] seeds all 32k edges), or for the 8 anchored
+// ones.
+//
 // Run: build/bench/bench_answer_modes --benchmark_min_time=0.2 [--json=FILE]
 // Results are recorded in EXPERIMENTS.md (E25). Trend-only: no baseline.
 
@@ -119,6 +126,54 @@ void BM_CountAnswer(benchmark::State& state) {
 BENCHMARK(BM_CountAnswer)
     ->ArgsProduct({{2, 3, 4, 5, 6}, {0, 1}, {0, 1}, {0, 1}})
     ->ArgNames({"depth", "backward", "ba", "fold"})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+// Args: anchored (0 unanchored, 1 the 8 anchors), mode (0 enumerate-then-
+// reduce, 1 count fold).
+void BM_BudgetedCountAnswer(benchmark::State& state) {
+  const MultiRelationalGraph& g = ErGraph();
+  const bool anchored = state.range(0) == 1;
+  const bool fold = state.range(1) == 1;
+  const std::vector<std::vector<EdgePattern>> chains =
+      anchored ? Chains(g, 4, ChainDirection::kForward)
+               : std::vector<std::vector<EdgePattern>>(
+                     1, std::vector<EdgePattern>(4, EdgePattern::Any()));
+  ExecLimits free_tier;
+  free_tier.max_paths = 10;
+  free_tier.max_steps = 60;
+
+  auto count_all = [&](bool use_fold) {
+    uint64_t total = 0;
+    for (const std::vector<EdgePattern>& steps : chains) {
+      ExecContext ctx(free_tier);
+      if (use_fold) {
+        Result<GovernedCount> counted =
+            CountChainGoverned(g, steps, ChainDirection::kForward, ctx);
+        total += counted.ok() ? counted->count : 0;
+      } else {
+        Result<GovernedPathSet> paths =
+            EvaluateChainGoverned(g, steps, ChainDirection::kForward, ctx);
+        total += paths.ok() ? paths->paths.size() : 0;
+      }
+    }
+    return total;
+  };
+
+  const uint64_t reference = count_all(/*use_fold=*/false);
+  uint64_t total = 0;
+  for (auto _ : state) {
+    total = count_all(fold);
+    benchmark::DoNotOptimize(total);
+  }
+  if (total != reference) {
+    state.SkipWithError("the count fold disagrees with enumeration");
+  }
+  state.counters["paths"] = static_cast<double>(total);
+}
+BENCHMARK(BM_BudgetedCountAnswer)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"anchored", "fold"})
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 

@@ -24,8 +24,8 @@
 //
 //       per matching edge: the level-local hard max_paths cap, then (final
 //                          level only) ChargePaths;
-//       per source path:   CheckStep(matches + 1), then
-//                          ChargeBytes(matches × PathArena::kNodeBytes)
+//       per source path:   CheckStep(SourceSteps(matches)), then
+//                          ChargeBytes(SourceBytes(matches))
 //
 //     and returns how the run ended as a SourceRecord — the unit the
 //     parallel fold's ledger records and replays.
@@ -92,14 +92,29 @@ inline Status HardOverflow(size_t hard_limit) {
                                    std::to_string(hard_limit));
 }
 
+// The one accounting rule (DESIGN.md "One fold, both ends"). Every fold
+// charges through these: the kernel below as it enumerates, the count fold
+// (traversal.cc) multiplied by the number of chains that share a vertex.
+//   per seed edge:                 kSeedSteps steps, kSeedBytes bytes;
+//   per source path with m matches: SourceSteps(m) steps, SourceBytes(m)
+//                                   bytes;
+// plus one path per full-length chain, charged on the final level only.
+inline constexpr size_t kSeedSteps = 1;
+inline constexpr size_t kSeedBytes = PathArena::kNodeBytes;
+constexpr size_t SourceSteps(size_t matches) { return matches + 1; }
+constexpr size_t SourceBytes(size_t matches) {
+  return matches * PathArena::kNodeBytes;
+}
+
 // Charges the seed level's guards — per seed edge: CheckStep, ChargePaths
-// when the seed level is also the final one, ChargeBytes(kNodeBytes) — and
-// returns how many of the `candidates` seeds were admitted before a trip.
+// when the seed level is also the final one, ChargeBytes — and returns how
+// many of the `candidates` seeds were admitted before a trip.
 inline size_t AdmitSeeds(size_t candidates, bool final_level,
                          ExecContext& ctx) {
   for (size_t i = 0; i < candidates; ++i) {
-    if (!ctx.CheckStep().ok() || (final_level && !ctx.ChargePaths().ok()) ||
-        !ctx.ChargeBytes(PathArena::kNodeBytes).ok()) {
+    if (!ctx.CheckStep(kSeedSteps).ok() ||
+        (final_level && !ctx.ChargePaths().ok()) ||
+        !ctx.ChargeBytes(kSeedBytes).ok()) {
       return i;
     }
   }
@@ -192,8 +207,8 @@ class FoldKernel {
       ForEachMatchingInEdge(universe_, v, *step_, emit);
     }
     if (record.end == RunEnd::kComplete &&
-        (!ctx_.CheckStep(record.matches + 1).ok() ||
-         !ctx_.ChargeBytes(record.matches * PathArena::kNodeBytes).ok())) {
+        (!ctx_.CheckStep(SourceSteps(record.matches)).ok() ||
+         !ctx_.ChargeBytes(SourceBytes(record.matches)).ok())) {
       record.end = RunEnd::kTripPost;
     }
     return record;

@@ -43,13 +43,16 @@ namespace {
 // a forward budget of k yields the k first full-length paths in canonical
 // order — the same prefix StepPathIterator yields under the same budget.
 // The byte budget is charged the exact arena cost: PathArena::kNodeBytes per
-// staged extension.
+// staged extension. `seeds`, when given, are the end step's matching edges
+// as CollectMatchingEdges returns them (the count fold hands over the ones
+// it already collected).
 template <ChainDirection kEnd>
 Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
                              const std::vector<EdgePattern>& steps,
                              const PathSetLimits& limits,
                              const frontier::DensityPolicy& base_policy,
-                             ExecContext& ctx) {
+                             ExecContext& ctx,
+                             std::optional<std::vector<Edge>> seeds = {}) {
   constexpr bool kForward = kEnd == ChainDirection::kForward;
   GovernedPathSet out;
   // Observability is boundary-only: snapshot the guard on entry, flush the
@@ -144,12 +147,12 @@ Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
   // canonical) into length-1 chains.
   {
     ExecSpan seed_span(ctx, "traverse.level", /*level=*/0);
-    const std::vector<Edge> seeds = CollectMatchingEdges(universe, step_at(0));
-    const size_t admitted = AdmitSeeds(seeds.size(), last_level == 0, ctx);
-    if (admitted < seeds.size()) trip = ctx.limit_status();
+    if (!seeds.has_value()) seeds = CollectMatchingEdges(universe, step_at(0));
+    const size_t admitted = AdmitSeeds(seeds->size(), last_level == 0, ctx);
+    if (admitted < seeds->size()) trip = ctx.limit_status();
     frontier.reserve(admitted);
     for (size_t i = 0; i < admitted; ++i) {
-      frontier.push_back(arena.AddRoot(seeds[i]));
+      frontier.push_back(arena.AddRoot((*seeds)[i]));
     }
   }
   seed_edges = frontier.size();
@@ -216,7 +219,9 @@ struct Multiplicity {
 // sorted by an LSD radix sort over the bytes that ids below `num_vertices`
 // use — a few linear passes through `spare`, where a comparison sort
 // mispredicts on every other compare of a level's scattered ids; below
-// that, the passes' fixed 256-bucket cost outweighs a comparison sort.
+// that, the passes' fixed 256-bucket cost outweighs a comparison sort
+// (EXPERIMENTS.md E25: with three passes the two break even near 32 pairs,
+// and the radix sort is 2.4x faster at 64 and 5x at 4,096).
 void MergeByVertex(std::vector<Multiplicity>& level, uint32_t num_vertices,
                    std::vector<Multiplicity>& spare) {
   if (level.size() < 64) {
@@ -277,7 +282,8 @@ void PrefetchAhead(const EdgeUniverse& universe,
   }
 }
 
-// What one level of the enumerating fold charges.
+// What one level of the enumerating fold charges, or, as the room the
+// budgets leave, may still charge.
 struct LevelCharge {
   uint64_t steps = 0;
   uint64_t bytes = 0;
@@ -288,10 +294,13 @@ struct LevelCharge {
 // the sorted run of (open end u, c(u) = chains ending at u), and extending
 // it by a step visits each distinct u's matching edges once, through the
 // same per-vertex walk as FoldKernel::Expand. With m(u) the matches at u,
-// enumeration would charge, per level, Σ c(u)·(m(u)+1) steps and
-// Σ c(u)·m(u)·kNodeBytes bytes, plus Σ c(u)·m(u) paths on the final level
-// (the seed level: one step and kNodeBytes per seed, and one path each when
-// it is also the final level).
+// enumeration would charge, per level, Σ c(u)·SourceSteps(m(u)) steps and
+// Σ c(u)·SourceBytes(m(u)) bytes, plus Σ c(u)·m(u) paths on the final level
+// (the seed level: kSeedSteps and kSeedBytes per seed, and one path each
+// when it is also the final level). The running totals only grow, so the
+// fold gives up for enumeration as soon as one passes its budget: after
+// the seeds are collected, before any run is built, and then after each
+// vertex walked.
 template <ChainDirection kEnd>
 Result<GovernedCount> CountFold(const EdgeUniverse& universe,
                                 const std::vector<EdgePattern>& steps,
@@ -299,9 +308,10 @@ Result<GovernedCount> CountFold(const EdgeUniverse& universe,
   constexpr bool kForward = kEnd == ChainDirection::kForward;
   // Enumerate-then-reduce: the definition the fold matches, and the
   // fallback whenever a countable budget would trip.
+  std::optional<std::vector<Edge>> seeds;
   auto enumerate = [&]() -> Result<GovernedCount> {
     Result<GovernedPathSet> enumerated =
-        Fold<kEnd>(universe, steps, {}, {}, ctx);
+        Fold<kEnd>(universe, steps, {}, {}, ctx, std::move(seeds));
     if (!enumerated.ok()) return enumerated.status();
     GovernedCount reduced;
     reduced.count = enumerated->paths.size();
@@ -335,40 +345,49 @@ Result<GovernedCount> CountFold(const EdgeUniverse& universe,
   };
   auto open_end = [](const Edge& e) { return kForward ? e.head : e.tail; };
   std::vector<LevelCharge> charges(steps.size());
-  uint64_t total_steps = 0;
+  uint64_t total_steps = 0;  // Of the levels charged so far.
   uint64_t total_bytes = 0;
-  uint64_t total_paths = 0;
-  auto exceeds = [](const std::optional<size_t>& left, uint64_t total) {
-    return left.has_value() && total > *left;
+  uint64_t total_paths = 0;  // Full-length chains: the final level's.
+  // The room the step and byte budgets leave after the levels so far. The
+  // totals only grow, so a level whose charge passes its room would trip.
+  // Unlimited is kSaturated, which even a saturated total fits (the
+  // overflow check below takes that case).
+  auto room = [&]() -> LevelCharge {
+    auto left = [](const std::optional<size_t>& budget, uint64_t used) {
+      return budget.has_value() ? *budget - used : kSaturated;
+    };
+    return {left(remaining.max_steps, total_steps),
+            left(remaining.max_bytes, total_bytes)};
   };
-  auto over_budget = [&] {
-    return exceeds(remaining.max_steps, total_steps) ||
-           exceeds(remaining.max_bytes, total_bytes) ||
-           exceeds(remaining.max_paths, total_paths);
+  auto passes = [](const LevelCharge& charge, const LevelCharge& room) {
+    return charge.steps > room.steps || charge.bytes > room.bytes;
   };
+  const uint64_t path_room = remaining.max_paths.value_or(kSaturated);
 
   if (!ctx.CheckDeadline().ok()) return tripped();
+  seeds = CollectMatchingEdges(universe, step_at(0));
+  charges[0] = {SaturatingMul(seeds->size(), kSeedSteps),
+                SaturatingMul(seeds->size(), kSeedBytes)};
+  if (last_level == 0) total_paths = seeds->size();
+  if (passes(charges[0], room()) || total_paths > path_room) {
+    return enumerate();
+  }
   std::vector<Multiplicity> level;
   std::vector<Multiplicity> spare;
-  {
-    const std::vector<Edge> seeds = CollectMatchingEdges(universe, step_at(0));
-    charges[0] = {seeds.size(),
-                  SaturatingMul(seeds.size(), PathArena::kNodeBytes)};
-    if (last_level == 0) total_paths = seeds.size();
-    level.reserve(seeds.size());
-    for (const Edge& e : seeds) level.push_back({open_end(e), 1});
-    MergeByVertex(level, universe.num_vertices(), spare);
-  }
+  level.reserve(seeds->size());
+  for (const Edge& e : *seeds) level.push_back({open_end(e), 1});
+  MergeByVertex(level, universe.num_vertices(), spare);
   total_steps = charges[0].steps;
   total_bytes = charges[0].bytes;
 
   std::vector<Multiplicity> next;
-  for (size_t k = 1; k <= last_level && !level.empty() && !over_budget();
-       ++k) {
+  for (size_t k = 1; k <= last_level && !level.empty(); ++k) {
     if (!ctx.CheckDeadline().ok()) return tripped();
     const EdgePattern& step = step_at(k);
     const bool final_level = k == last_level;
-    uint64_t level_steps = 0;
+    const LevelCharge level_room = room();
+    const uint64_t level_path_room = final_level ? path_room : kSaturated;
+    LevelCharge charge;
     uint64_t matched = 0;  // Σ c(u)·m(u): the level's extensions.
     next.clear();
     for (size_t i = 0; i < level.size(); ++i) {
@@ -388,17 +407,22 @@ Result<GovernedCount> CountFold(const EdgeUniverse& universe,
       } else {
         ForEachMatchingInEdge(universe, run.vertex, step, visit);
       }
-      level_steps = SaturatingAdd(level_steps, SaturatingMul(run.paths, m + 1));
+      charge.steps =
+          SaturatingAdd(charge.steps, SaturatingMul(run.paths, SourceSteps(m)));
+      charge.bytes =
+          SaturatingAdd(charge.bytes, SaturatingMul(run.paths, SourceBytes(m)));
       matched = SaturatingAdd(matched, SaturatingMul(run.paths, m));
+      if (passes(charge, level_room) || matched > level_path_room) {
+        return enumerate();
+      }
     }
-    charges[k] = {level_steps, SaturatingMul(matched, PathArena::kNodeBytes)};
+    charges[k] = charge;
     if (final_level) total_paths = matched;
-    total_steps = SaturatingAdd(total_steps, charges[k].steps);
-    total_bytes = SaturatingAdd(total_bytes, charges[k].bytes);
+    total_steps = SaturatingAdd(total_steps, charge.steps);
+    total_bytes = SaturatingAdd(total_bytes, charge.bytes);
     MergeByVertex(next, universe.num_vertices(), spare);
     level.swap(next);
   }
-  if (over_budget()) return enumerate();
 
   // Within budget, but beyond what the counters can hold: only unlimited
   // dimensions get here (a saturated total exceeds every finite budget).

@@ -132,7 +132,8 @@ struct GovernedCount {
 //     final level) and returns the count.
 //   * When a countable budget would trip, it charges nothing and returns the
 //     size of EvaluateChainGoverned's (truncated) answer on the untouched
-//     context.
+//     context. It gives up as soon as a running total passes its budget:
+//     right after collecting the seeds, and after each vertex it walks.
 //
 // So count, truncation, limit Status and ExecStats (elapsed time aside)
 // equal enumeration's under every countable budget. Deadline and

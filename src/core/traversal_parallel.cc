@@ -387,8 +387,8 @@ Result<GovernedPathSet> TraverseParallelGoverned(
         }
         switch (r.end) {
           case RunEnd::kComplete:
-            if (!ctx.CheckStep(r.matches + 1).ok() ||
-                !ctx.ChargeBytes(r.matches * PathArena::kNodeBytes).ok()) {
+            if (!ctx.CheckStep(SourceSteps(r.matches)).ok() ||
+                !ctx.ChargeBytes(SourceBytes(r.matches)).ok()) {
               return truncated(k, ctx.limit_status());
             }
             break;
@@ -416,8 +416,8 @@ Result<GovernedPathSet> TraverseParallelGoverned(
             // Replay the batched charges; the counters advance either way
             // (CheckStep/ChargeBytes keep their increments on trip, exactly
             // like the sequential fold's accounting).
-            if (!ctx.CheckStep(r.matches + 1).ok() ||
-                !ctx.ChargeBytes(r.matches * PathArena::kNodeBytes).ok()) {
+            if (!ctx.CheckStep(SourceSteps(r.matches)).ok() ||
+                !ctx.ChargeBytes(SourceBytes(r.matches)).ok()) {
               return truncated(k, ctx.limit_status());
             }
             return truncated(k, ledger.local_status);  // Under-coverage.
