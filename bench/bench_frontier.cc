@@ -134,7 +134,7 @@ void BM_BackwardCrossover(benchmark::State& state) {
     ctx.AttachObs(bench::TraceRegistry());
     Result<GovernedPathSet> result =
         EvaluateChainGoverned(graph, spec.steps, ChainDirection::kBackward,
-                              ctx, /*limits=*/{}, policy);
+                              ctx, policy);
     paths = result.ok() ? result->paths.size() : 0;
     benchmark::DoNotOptimize(result);
   }

@@ -22,12 +22,19 @@
 # Numbers land in EXPERIMENTS.md by hand.
 #
 # Regression gate: after the runs, every BENCH_<n>.json with a committed
-# baseline in bench/baselines/ is compared per-benchmark on real_time; a
-# regression beyond the tolerance fails the job. Baselines are opt-in
-# (experiments without one are trend-only — shared-runner wall clock is too
-# noisy to gate every experiment) and refreshed by re-running with
-# MRPA_BENCH_UPDATE_BASELINE=1 on the reference machine and committing the
-# result.
+# baseline in bench/baselines/ is compared per-benchmark, in two halves
+# with separate verdicts:
+#   * wall clock — real_time; a regression beyond the tolerance fails. It
+#     only means something on the machine the baselines were recorded on.
+#   * counters — every user counter of each baselined row except rates
+#     (*_per_second, *_per_sec) must equal the baseline exactly: paths,
+#     arcs, levels, merged edges, image and frame bytes are the same on
+#     every host, so a difference is a change in the work done, named as
+#     (experiment, row, counter).
+# Baselines are opt-in (experiments without one are trend-only —
+# shared-runner wall clock is too noisy to gate every experiment) and
+# refreshed by re-running with MRPA_BENCH_UPDATE_BASELINE=1 on the
+# reference machine and committing the result.
 #
 # Usage: scripts/ci_bench.sh [build-dir] [out-dir]
 #        (defaults: build-bench, bench-results)
@@ -101,8 +108,17 @@ import sys
 
 baseline_dir, out_dir, tolerance = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
+# Row fields google-benchmark writes itself; every other numeric field is a
+# user counter.
+STANDARD_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads", "iterations",
+    "real_time", "cpu_time", "time_unit", "aggregate_name", "aggregate_unit",
+    "label", "error_occurred", "error_message",
+}
+
 def by_name(path):
-    """name -> real_time for one google-benchmark JSON export."""
+    """name -> row for one google-benchmark JSON export."""
     with open(path) as f:
         doc = json.load(f)
     table = {}
@@ -111,11 +127,20 @@ def by_name(path):
         # would double-count; gate on the plain iteration rows only.
         if b.get("run_type") == "aggregate":
             continue
-        table[b["name"]] = float(b["real_time"])
+        table[b["name"]] = b
     return table
 
-failures = []
-compared = 0
+def counters(row):
+    """The row's deterministic user counters: rates depend on the clock."""
+    return {key: value for key, value in row.items()
+            if key not in STANDARD_FIELDS
+            and isinstance(value, (int, float))
+            and not key.endswith(("_per_second", "_per_sec"))}
+
+time_failures = []
+timed = 0
+counter_failures = []
+counted = 0
 for baseline_path in sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json"))):
     name = os.path.basename(baseline_path)
     current_path = os.path.join(out_dir, name)
@@ -123,23 +148,42 @@ for baseline_path in sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")
         print(f"note: {name} has a baseline but no result this run; skipped")
         continue
     baseline, current = by_name(baseline_path), by_name(current_path)
-    for bench, base_time in sorted(baseline.items()):
-        if bench not in current or base_time <= 0:
+    for bench, base_row in sorted(baseline.items()):
+        row = current.get(bench)
+        for counter, expected in sorted(counters(base_row).items()):
+            counted += 1
+            actual = None if row is None else row.get(counter)
+            if actual != expected:
+                counter_failures.append(
+                    f"{name} {bench} {counter}: {expected} -> {actual}")
+        base_time = float(base_row["real_time"])
+        if row is None or base_time <= 0:
             continue
-        compared += 1
-        delta = 100.0 * (current[bench] - base_time) / base_time
+        timed += 1
+        delta = 100.0 * (float(row["real_time"]) - base_time) / base_time
         marker = " <-- REGRESSION" if delta > tolerance else ""
-        print(f"{name} {bench}: {base_time:.3g} -> {current[bench]:.3g} "
+        print(f"{name} {bench}: {base_time:.3g} -> {float(row['real_time']):.3g} "
               f"({delta:+.1f}%){marker}")
         if delta > tolerance:
-            failures.append(f"{name} {bench} regressed {delta:+.1f}% "
-                            f"(tolerance {tolerance:.0f}%)")
+            time_failures.append(f"{name} {bench} regressed {delta:+.1f}% "
+                                 f"(tolerance {tolerance:.0f}%)")
 
-if not compared:
+for failure in counter_failures:
+    print(f"COUNTER DIFFERS: {failure}")
+
+if not timed and not counted:
     print("No committed baselines to gate on "
           "(re-run with MRPA_BENCH_UPDATE_BASELINE=1 to record some).")
-elif failures:
-    sys.exit("FAIL: " + "; ".join(failures))
+    sys.exit(0)
+if time_failures:
+    print("wall clock: FAIL: " + "; ".join(time_failures))
 else:
-    print(f"PASS: {compared} benchmarks within {tolerance:.0f}% of baseline")
+    print(f"wall clock: PASS: {timed} benchmarks within {tolerance:.0f}% "
+          "of baseline")
+if counter_failures:
+    print(f"counters: FAIL: {len(counter_failures)} of {counted} differ")
+else:
+    print(f"counters: PASS: {counted} of {counted} equal")
+if time_failures or counter_failures:
+    sys.exit(1)
 PY

@@ -5,8 +5,8 @@
 # -DMRPA_SANITIZE=thread (see the root CMakeLists.txt) and runs the
 # `parallel`-, `arena`-, `obs`-, `storage`-, and `service`-labeled ctest
 # suites — thread_pool_test, parallel_differential_test,
-# recognizer_differential_test, arena_differential_test, the obs_* suites,
-# the snapshot_* suites, and the service_* suites — under TSAN. These are
+# arena_differential_test, the obs_* suites, the snapshot_* suites, and the
+# service_* suites — under TSAN. These are
 # the suites that actually exercise cross-thread shard expansion
 # (including the per-shard PathArenas), the work-stealing pool, the replay
 # merge, the per-shard observability slabs (worker threads write

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "regex/dfa_minimizer.h"
+
 namespace mrpa {
 namespace {
 
@@ -76,13 +78,7 @@ Result<CompiledQuery> CompileQuery(const PathExprPtr& expr,
   }
 
   const IrNode& root_node = module.node(root);
-  if (root_node.product_free && root_node.literal_free) {
-    if (Result<DfaSizeReport> report =
-            MeasureMinimization(*query.plan_expr_, universe);
-        report.ok()) {
-      query.dfa_report_ = *report;
-    }
-  }
+  query.dfa_measurable_ = root_node.product_free && root_node.literal_free;
 
   if (options.registry != nullptr) {
     options.registry->Add(obs::Metric::kCompilerQueriesCompiled, 1);
@@ -115,8 +111,7 @@ Result<GovernedPathSet> CompiledQuery::Run(ExecContext& ctx) const {
   Result<PathSet> full = [&]() -> Result<PathSet> {
     if (is_chain()) {
       Result<GovernedPathSet> governed = EvaluateChainGoverned(
-          *universe_, *chain_steps_, chain_plan_.direction, quiet,
-          eval_.limits);
+          *universe_, *chain_steps_, chain_plan_.direction, quiet);
       if (!governed.ok()) return governed.status();
       if (governed->truncated) return governed->limit;
       return std::move(governed->paths);
@@ -199,11 +194,13 @@ std::string CompiledQuery::ExplainPlan() const {
   } else {
     out += "cost: heuristic (uncalibrated)\n";
   }
-  if (dfa_report_.has_value()) {
-    out += "dfa: minimized=" + std::to_string(dfa_report_->minimized_states) +
-           "/" + std::to_string(dfa_report_->materialized_states) +
-           " states classes=" + std::to_string(dfa_report_->edge_classes) +
-           "\n";
+  if (!dfa_measurable_) return out;
+  if (Result<DfaSizeReport> report =
+          MeasureMinimization(*plan_expr_, *universe_);
+      report.ok()) {
+    out += "dfa: minimized=" + std::to_string(report->minimized_states) + "/" +
+           std::to_string(report->materialized_states) +
+           " states classes=" + std::to_string(report->edge_classes) + "\n";
   }
   return out;
 }

@@ -24,8 +24,9 @@
 // pipeline harness. Two documented caveats: a deadline/cancellation trip
 // during speculation yields an EMPTY truncated result (there is no
 // canonical prefix to salvage), and EvalOptions::limits (PathSetLimits)
-// keeps its hard-error semantics on INTERMEDIATE sets, which are plan-
-// dependent — leave it unlimited when differential identity matters.
+// fails the bottom-up evaluator on INTERMEDIATE sets, which are plan-
+// dependent (chain plans have none) — leave it unlimited when differential
+// identity matters.
 
 #ifndef MRPA_COMPILER_COMPILER_H_
 #define MRPA_COMPILER_COMPILER_H_
@@ -42,7 +43,6 @@
 #include "core/path_set.h"
 #include "engine/chain_planner.h"
 #include "obs/obs.h"
-#include "regex/dfa_minimizer.h"
 #include "util/exec_context.h"
 #include "util/status.h"
 
@@ -77,18 +77,16 @@ class CompiledQuery {
   // One entry per executed pass, in pipeline order.
   const std::vector<PassTraceEntry>& pass_trace() const { return trace_; }
 
-  // Minimization measurements for product- and literal-free plans (what
-  // the dfa-minimize pass saw); nullopt when outside that fragment.
-  const std::optional<DfaSizeReport>& dfa_report() const { return dfa_report_; }
-
   // Speculate + replay, as documented above. `ctx` carries the budgets,
   // deadline, cancellation, fault probes, and (optionally) an ObsRegistry.
   Result<GovernedPathSet> Run(ExecContext& ctx) const;
 
   // Deterministic multi-line plan rendering (golden-tested): the source and
   // optimized expressions, the per-pass trace, the emitted execution
-  // strategy with the cost model's verdict, and the DFA report when
-  // available. No timing, no pointers — identical plans print identically.
+  // strategy with the cost model's verdict, and, for product- and
+  // literal-free plans, the DFA minimization report (measured here, not at
+  // compile time: it scans the universe). No timing, no pointers —
+  // identical plans print identically.
   std::string ExplainPlan() const;
 
  private:
@@ -106,7 +104,8 @@ class CompiledQuery {
   bool cost_calibrated_ = false;
   double cost_fanout_ = 0.0;
   std::vector<PassTraceEntry> trace_;
-  std::optional<DfaSizeReport> dfa_report_;
+  // The plan is product- and literal-free: ExplainPlan's DFA report applies.
+  bool dfa_measurable_ = false;
 };
 
 // Lowers, optimizes, and plans `expr` against `universe`. The universe

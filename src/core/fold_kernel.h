@@ -22,8 +22,7 @@
 //   Expand — the per-source expansion: visits the source's matching edges
 //     and emits each extension through the one guard sequence
 //
-//       per matching edge: the level-local hard max_paths cap, then (final
-//                          level only) ChargePaths;
+//       per matching edge: (final level only) ChargePaths;
 //       per source path:   CheckStep(SourceSteps(matches)), then
 //                          ChargeBytes(SourceBytes(matches))
 //
@@ -49,7 +48,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -75,22 +73,12 @@ enum class RunEnd : uint8_t {
   kTripPaths,
   // Fully enumerated, but the per-source CheckStep or ChargeBytes tripped.
   kTripPost,
-  // A matching edge arrived with the level's emission count already at the
-  // hard max_paths cap.
-  kTripHard,
 };
 
 struct SourceRecord {
   uint32_t matches = 0;  // Extensions emitted for this source path.
   RunEnd end = RunEnd::kComplete;
 };
-
-// The legacy hard-error form of limits.max_paths: the whole evaluation
-// fails, with no partial result.
-inline Status HardOverflow(size_t hard_limit) {
-  return Status::ResourceExhausted("traversal exceeded max_paths = " +
-                                   std::to_string(hard_limit));
-}
 
 // The one accounting rule (DESIGN.md "One fold, both ends"). Every fold
 // charges through these: the kernel below as it enumerates, the count fold
@@ -129,13 +117,12 @@ class FoldKernel {
   // for each decision probe; shard workers pass null to keep their
   // observability thin. All references must outlive the kernel.
   FoldKernel(const EdgeUniverse& universe, PathArena& arena, ExecContext& ctx,
-             const frontier::DensityPolicy& policy, size_t hard_limit,
+             const frontier::DensityPolicy& policy,
              obs::ObsRegistry* probe_timing = nullptr)
       : universe_(universe),
         arena_(arena),
         ctx_(ctx),
         policy_(policy),
-        hard_limit_(hard_limit),
         probe_timing_(probe_timing) {}
 
   // Starts an extension level by `step` over `frontier`. The decision probe
@@ -178,19 +165,14 @@ class FoldKernel {
   }
 
   // Extends `source` by every matching edge at its open end, appending the
-  // new node ids to `next` (the level's output so far, whose size is the
-  // level-local emission count the hard cap tests). Steps and bytes are
-  // batched per source path to keep the guard off the innermost loop —
-  // those budgets have one-run granularity; the path budget is charged per
-  // emission, so a budget of k keeps exactly the first k.
+  // new node ids to `next`. Steps and bytes are batched per source path to
+  // keep the guard off the innermost loop — those budgets have one-run
+  // granularity; the path budget is charged per emission, so a budget of k
+  // keeps exactly the first k.
   SourceRecord Expand(PathNodeId source, std::vector<PathNodeId>& next) {
     SourceRecord record;
     auto emit = [&](const Edge& e) {
       if (record.end != RunEnd::kComplete) return;
-      if (next.size() >= hard_limit_) {
-        record.end = RunEnd::kTripHard;
-        return;
-      }
       if (final_level_ && !ctx_.ChargePaths().ok()) {
         record.end = RunEnd::kTripPaths;
         return;
@@ -238,7 +220,6 @@ class FoldKernel {
   PathArena& arena_;
   ExecContext& ctx_;
   const frontier::DensityPolicy policy_;
-  const size_t hard_limit_;
   obs::ObsRegistry* const probe_timing_;
 
   // The current level.

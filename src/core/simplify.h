@@ -12,10 +12,11 @@
 //   R^0 = ε   R^1 = R          ∅^n = ∅ (n ≥ 1)  ε^n = ε
 //   {} (empty literal) = ∅     {ε} (epsilon literal) = ε
 //
-// Simplification runs before planning (engine/chain_planner.h): smaller
-// trees compile to smaller automata, and collapsing ε/∅ nodes exposes atom
-// chains the planner can reorder. Every rewrite preserves the denoted path
-// set exactly — the property tests verify equivalence on random graphs.
+// Every rewrite preserves the denoted language — the property tests verify
+// equivalence on random graphs. The closure collapses do not hold under
+// EvalOptions::max_star_expansion, so this serves the derivative recognizer
+// (regex/derivatives.h), whose languages are unbounded; bounded evaluation
+// uses the compiler's bounded-safe simplify pass (compiler/passes.h).
 
 #ifndef MRPA_CORE_SIMPLIFY_H_
 #define MRPA_CORE_SIMPLIFY_H_

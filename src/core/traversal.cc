@@ -34,29 +34,25 @@ namespace {
 // CompareSuffix (front-first, without materializing). Suffixes are distinct
 // by construction, so there is no dedup pass either.
 //
-// Two failure regimes coexist:
-//   * limits.max_paths (the pre-governance API) stays a hard error — the
-//     whole evaluation returns ResourceExhausted with no partial result.
-//   * ctx budgets trip gracefully — the fold stops and reports whatever
-//     full-length paths it already yielded, flagged `truncated`.
-// The path budget is charged only for full-length (final level) paths, so
-// a forward budget of k yields the k first full-length paths in canonical
-// order — the same prefix StepPathIterator yields under the same budget.
-// The byte budget is charged the exact arena cost: PathArena::kNodeBytes per
-// staged extension. `seeds`, when given, are the end step's matching edges
-// as CollectMatchingEdges returns them (the count fold hands over the ones
-// it already collected).
+// A budget, deadline or cancellation trips gracefully: the fold stops and
+// reports whatever full-length paths it already yielded, flagged
+// `truncated`. The path budget is charged only for full-length (final
+// level) paths, so a forward budget of k yields the k first full-length
+// paths in canonical order — the same prefix StepPathIterator yields under
+// the same budget. The byte budget is charged the exact arena cost:
+// PathArena::kNodeBytes per staged extension. `seeds`, when given, are the
+// end step's matching edges as CollectMatchingEdges returns them (the count
+// fold hands over the ones it already collected).
 template <ChainDirection kEnd>
-Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
-                             const std::vector<EdgePattern>& steps,
-                             const PathSetLimits& limits,
-                             const frontier::DensityPolicy& base_policy,
-                             ExecContext& ctx,
-                             std::optional<std::vector<Edge>> seeds = {}) {
+GovernedPathSet Fold(const EdgeUniverse& universe,
+                     const std::vector<EdgePattern>& steps,
+                     const frontier::DensityPolicy& base_policy,
+                     ExecContext& ctx,
+                     std::optional<std::vector<Edge>> seeds = {}) {
   constexpr bool kForward = kEnd == ChainDirection::kForward;
   GovernedPathSet out;
   // Observability is boundary-only: snapshot the guard on entry, flush the
-  // deltas (and the run's breakdown) once on every graceful exit. With no
+  // deltas (and the run's breakdown) once on every exit. With no
   // registry attached, the fold below runs its hot loops unchanged.
   obs::ObsRegistry* const reg = ctx.observer();
   ExecStats obs_before;
@@ -79,8 +75,6 @@ Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
     return out;
   }
 
-  const size_t hard_limit =
-      limits.max_paths.value_or(std::numeric_limits<size_t>::max());
   const size_t last_level = steps.size() - 1;
   // The step that extends level k (level 0 is the seed).
   auto step_at = [&](size_t k) -> const EdgePattern& {
@@ -99,15 +93,13 @@ Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
     policy = frontier::CalibrateDensityPolicy(
         policy, reg, universe.num_vertices(), universe.num_edges());
   }
-  FoldKernel<kEnd> kernel(universe, arena, ctx, policy, hard_limit, reg);
+  FoldKernel<kEnd> kernel(universe, arena, ctx, policy, reg);
 
   ExecSpan run_span(ctx, kForward ? "traverse" : "chain.backward");
   size_t seed_edges = 0;
   size_t levels_run = 0;
-  // Every graceful return passes through here, flushing the run's
-  // observability once; the hard max_paths overflow (a legacy error, not a
-  // governed result) does not — it reports nothing, matching its
-  // no-partial-result contract.
+  // Every return passes through here, flushing the run's observability
+  // once.
   auto finish = [&]() {
     if (reg != nullptr) {
       reg->Add(obs::Metric::kTraversalRuns, 1);
@@ -173,9 +165,7 @@ Result<GovernedPathSet> Fold(const EdgeUniverse& universe,
     kernel.BeginLevel(step_at(k), final_level, frontier);
     next.clear();
     for (PathNodeId source : frontier) {
-      const SourceRecord record = kernel.Expand(source, next);
-      if (record.end == RunEnd::kComplete) continue;
-      if (record.end == RunEnd::kTripHard) return HardOverflow(hard_limit);
+      if (kernel.Expand(source, next).end == RunEnd::kComplete) continue;
       trip = ctx.limit_status();
       break;
     }
@@ -310,14 +300,13 @@ Result<GovernedCount> CountFold(const EdgeUniverse& universe,
   // fallback whenever a countable budget would trip.
   std::optional<std::vector<Edge>> seeds;
   auto enumerate = [&]() -> Result<GovernedCount> {
-    Result<GovernedPathSet> enumerated =
-        Fold<kEnd>(universe, steps, {}, {}, ctx, std::move(seeds));
-    if (!enumerated.ok()) return enumerated.status();
+    GovernedPathSet enumerated =
+        Fold<kEnd>(universe, steps, {}, ctx, std::move(seeds));
     GovernedCount reduced;
-    reduced.count = enumerated->paths.size();
-    reduced.truncated = enumerated->truncated;
-    reduced.limit = std::move(enumerated->limit);
-    reduced.stats = enumerated->stats;
+    reduced.count = enumerated.paths.size();
+    reduced.truncated = enumerated.truncated;
+    reduced.limit = std::move(enumerated.limit);
+    reduced.stats = enumerated.stats;
     return reduced;
   };
   if (steps.empty()) return enumerate();  // {ε}: one ChargePaths.
@@ -464,7 +453,7 @@ Result<GovernedCount> CountFold(const EdgeUniverse& universe,
 // paths are stored while the fold runs.
 Result<GovernedPathSet> FoldJoinMaterialized(
     const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
-    const PathSetLimits& limits, ExecContext& ctx) {
+    ExecContext& ctx) {
   GovernedPathSet out;
   if (steps.empty()) {
     if (Status trip = ctx.ChargePaths(); !trip.ok()) {
@@ -477,8 +466,6 @@ Result<GovernedPathSet> FoldJoinMaterialized(
     return out;
   }
 
-  const size_t hard_limit =
-      limits.max_paths.value_or(std::numeric_limits<size_t>::max());
   const size_t last_level = steps.size() - 1;
   Status trip;
 
@@ -504,16 +491,10 @@ Result<GovernedPathSet> FoldJoinMaterialized(
   for (size_t k = 1; k < steps.size() && !acc.empty(); ++k) {
     const EdgePattern& step = steps[k];
     const bool final_level = k == last_level;
-    Status overflow;
     for (const Path& p : acc) {
       size_t expanded = 0;
       ForEachMatchingOutEdge(universe, p.Head(), step, [&](const Edge& e) {
-        if (!overflow.ok() || !trip.ok()) return;
-        if (builder.staged_size() >= hard_limit) {
-          overflow = Status::ResourceExhausted(
-              "traversal exceeded max_paths = " + std::to_string(hard_limit));
-          return;
-        }
+        if (!trip.ok()) return;
         if (final_level && !ctx.ChargePaths().ok()) {
           trip = ctx.limit_status();
           return;
@@ -523,7 +504,6 @@ Result<GovernedPathSet> FoldJoinMaterialized(
         extended.Append(e);
         builder.Add(std::move(extended));
       });
-      if (!overflow.ok()) return overflow;
       if (trip.ok() && (!ctx.CheckStep(expanded + 1).ok() ||
                         !ctx.ChargeBytes(expanded * PathArena::kNodeBytes)
                              .ok())) {
@@ -550,14 +530,12 @@ Result<GovernedPathSet> FoldJoinMaterialized(
 // error the injector prescribed.
 Result<PathSet> FoldJoinStrict(const EdgeUniverse& universe,
                                const std::vector<EdgePattern>& steps,
-                               const PathSetLimits& limits,
                                const frontier::DensityPolicy& policy = {}) {
   ExecContext unlimited;
-  Result<GovernedPathSet> result = Fold<ChainDirection::kForward>(
-      universe, steps, limits, policy, unlimited);
-  if (!result.ok()) return result.status();
-  if (result->truncated) return result->limit;
-  return std::move(result->paths);
+  GovernedPathSet result =
+      Fold<ChainDirection::kForward>(universe, steps, policy, unlimited);
+  if (result.truncated) return result.limit;
+  return std::move(result.paths);
 }
 
 std::vector<EdgePattern> UniformSteps(size_t n, const EdgePattern& pattern) {
@@ -566,34 +544,31 @@ std::vector<EdgePattern> UniformSteps(size_t n, const EdgePattern& pattern) {
 
 }  // namespace
 
-Result<PathSet> CompleteTraversal(const EdgeUniverse& universe, size_t n,
-                                  const PathSetLimits& limits) {
-  return FoldJoinStrict(universe, UniformSteps(n, EdgePattern::Any()), limits);
+Result<PathSet> CompleteTraversal(const EdgeUniverse& universe, size_t n) {
+  return FoldJoinStrict(universe, UniformSteps(n, EdgePattern::Any()));
 }
 
 Result<PathSet> SourceTraversal(const EdgeUniverse& universe,
                                 const std::vector<VertexId>& sources, size_t n,
-                                bool complement, const PathSetLimits& limits) {
+                                bool complement) {
   if (n == 0) return PathSet::EpsilonSet();
   std::vector<EdgePattern> steps = UniformSteps(n, EdgePattern::Any());
   steps.front() = EdgePattern::FromAnyOf(sources, complement);
-  return FoldJoinStrict(universe, steps, limits);
+  return FoldJoinStrict(universe, steps);
 }
 
 Result<PathSet> DestinationTraversal(const EdgeUniverse& universe,
                                      const std::vector<VertexId>& destinations,
-                                     size_t n, bool complement,
-                                     const PathSetLimits& limits) {
+                                     size_t n, bool complement) {
   if (n == 0) return PathSet::EpsilonSet();
   std::vector<EdgePattern> steps = UniformSteps(n, EdgePattern::Any());
   steps.back() = EdgePattern::IntoAnyOf(destinations, complement);
-  return FoldJoinStrict(universe, steps, limits);
+  return FoldJoinStrict(universe, steps);
 }
 
 Result<PathSet> SourceDestinationTraversal(
     const EdgeUniverse& universe, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& destinations, size_t n,
-    const PathSetLimits& limits) {
+    const std::vector<VertexId>& destinations, size_t n) {
   if (n == 0) return PathSet::EpsilonSet();
   std::vector<EdgePattern> steps = UniformSteps(n, EdgePattern::Any());
   steps.front() = EdgePattern::FromAnyOf(sources);
@@ -604,44 +579,41 @@ Result<PathSet> SourceDestinationTraversal(
   } else {
     steps.back() = EdgePattern::IntoAnyOf(destinations);
   }
-  return FoldJoinStrict(universe, steps, limits);
+  return FoldJoinStrict(universe, steps);
 }
 
 Result<PathSet> LabeledTraversal(
     const EdgeUniverse& universe,
-    const std::vector<std::vector<LabelId>>& step_labels,
-    const PathSetLimits& limits) {
+    const std::vector<std::vector<LabelId>>& step_labels) {
   std::vector<EdgePattern> steps;
   steps.reserve(step_labels.size());
   for (const std::vector<LabelId>& labels : step_labels) {
     steps.push_back(labels.empty() ? EdgePattern::Any()
                                    : EdgePattern::LabeledAnyOf(labels));
   }
-  return FoldJoinStrict(universe, steps, limits);
+  return FoldJoinStrict(universe, steps);
 }
 
 Result<PathSet> Traverse(const EdgeUniverse& universe,
                          const TraversalSpec& spec) {
-  return FoldJoinStrict(universe, spec.steps, spec.limits, spec.density);
+  return FoldJoinStrict(universe, spec.steps, spec.density);
 }
 
 Result<GovernedPathSet> TraverseGoverned(const EdgeUniverse& universe,
                                          const TraversalSpec& spec,
                                          ExecContext& ctx) {
-  return Fold<ChainDirection::kForward>(universe, spec.steps, spec.limits,
-                                        spec.density, ctx);
+  return Fold<ChainDirection::kForward>(universe, spec.steps, spec.density,
+                                        ctx);
 }
 
 Result<GovernedPathSet> EvaluateChainGoverned(
     const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
-    ChainDirection direction, ExecContext& ctx, const PathSetLimits& limits,
+    ChainDirection direction, ExecContext& ctx,
     const frontier::DensityPolicy& density) {
   if (direction == ChainDirection::kForward) {
-    return Fold<ChainDirection::kForward>(universe, steps, limits, density,
-                                          ctx);
+    return Fold<ChainDirection::kForward>(universe, steps, density, ctx);
   }
-  return Fold<ChainDirection::kBackward>(universe, steps, limits, density,
-                                         ctx);
+  return Fold<ChainDirection::kBackward>(universe, steps, density, ctx);
 }
 
 Result<GovernedCount> CountChainGoverned(const EdgeUniverse& universe,
@@ -657,7 +629,7 @@ Result<GovernedCount> CountChainGoverned(const EdgeUniverse& universe,
 Result<GovernedPathSet> TraverseGovernedMaterialized(
     const EdgeUniverse& universe, const TraversalSpec& spec,
     ExecContext& ctx) {
-  return FoldJoinMaterialized(universe, spec.steps, spec.limits, ctx);
+  return FoldJoinMaterialized(universe, spec.steps, ctx);
 }
 
 }  // namespace mrpa

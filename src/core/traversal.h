@@ -26,44 +26,38 @@
 namespace mrpa {
 
 // All joint paths of length exactly `n` (§III-A). n = 0 yields {ε}.
-Result<PathSet> CompleteTraversal(const EdgeUniverse& universe, size_t n,
-                                  const PathSetLimits& limits = {});
+Result<PathSet> CompleteTraversal(const EdgeUniverse& universe, size_t n);
 
 // All joint paths of length `n` whose tail vertex lies in `sources`
 // (§III-B). Pass `complement = true` for the Vs-bar form ("start anywhere
 // except Vs").
 Result<PathSet> SourceTraversal(const EdgeUniverse& universe,
                                 const std::vector<VertexId>& sources, size_t n,
-                                bool complement = false,
-                                const PathSetLimits& limits = {});
+                                bool complement = false);
 
 // All joint paths of length `n` whose head vertex lies in `destinations`
 // (§III-C).
 Result<PathSet> DestinationTraversal(const EdgeUniverse& universe,
                                      const std::vector<VertexId>& destinations,
-                                     size_t n, bool complement = false,
-                                     const PathSetLimits& limits = {});
+                                     size_t n, bool complement = false);
 
 // Source and destination combined: emanate from Vs, arrive in Vd, length n.
 Result<PathSet> SourceDestinationTraversal(
     const EdgeUniverse& universe, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& destinations, size_t n,
-    const PathSetLimits& limits = {});
+    const std::vector<VertexId>& destinations, size_t n);
 
 // Labeled traversal (§III-D): one label set per step; step k of the result
 // paths carries a label in `step_labels[k]`. An empty inner vector means Ω
 // (unrestricted) for that step.
 Result<PathSet> LabeledTraversal(
     const EdgeUniverse& universe,
-    const std::vector<std::vector<LabelId>>& step_labels,
-    const PathSetLimits& limits = {});
+    const std::vector<std::vector<LabelId>>& step_labels);
 
 // The fully general n-step traversal: an arbitrary EdgePattern per step,
 // joined left-to-right. This subsumes all of the above (each idiom is a
 // particular pattern sequence) and is what the fluent engine lowers to.
 struct TraversalSpec {
   std::vector<EdgePattern> steps;
-  PathSetLimits limits;
   // The sparse/dense execution switch (DESIGN.md "Dense-frontier
   // execution"). Pure strategy: any mode produces byte-identical governed
   // output; kAuto decides per level from frontier shape, refined by the
@@ -81,8 +75,7 @@ Result<PathSet> Traverse(const EdgeUniverse& universe,
 // full-length paths were already yielded in `paths` (paths yielded under a
 // budget of k are exactly the k first paths in the set's canonical order).
 // A trip at an intermediate join level yields an empty (but still truncated)
-// set — only full-length paths are ever reported. spec.limits.max_paths
-// keeps its hard-error semantics (non-OK Result), as in Traverse().
+// set — only full-length paths are ever reported.
 Result<GovernedPathSet> TraverseGoverned(const EdgeUniverse& universe,
                                          const TraversalSpec& spec,
                                          ExecContext& ctx);
@@ -106,7 +99,6 @@ enum class ChainDirection {
 Result<GovernedPathSet> EvaluateChainGoverned(
     const EdgeUniverse& universe, const std::vector<EdgePattern>& steps,
     ChainDirection direction, ExecContext& ctx,
-    const PathSetLimits& limits = {},
     const frontier::DensityPolicy& density = {});
 
 // A governed count: how many paths a chain denotes, under the truncation

@@ -35,11 +35,11 @@
 //      prefix order). Each record replays the same guard calls with the
 //      same arguments the sequential fold would make (ChargePaths per
 //      final-level emission, batched CheckStep/ChargeBytes per source
-//      path, the hard max_paths check before every emission), so the trip
-//      point, sticky limit status, counters, and fault-probe sequence are
-//      identical. The merged output is the concatenation of shard results
-//      cut at the replayed emission count — canonical order by
-//      construction, adopted O(1) via PathSet::FromSortedUnique.
+//      path), so the trip point, sticky limit status, counters, and
+//      fault-probe sequence are identical. The merged output is the
+//      concatenation of shard results cut at the replayed emission count —
+//      canonical order by construction, adopted O(1) via
+//      PathSet::FromSortedUnique.
 //
 // Coverage argument: a shard's local charge for any prefix of its work
 // equals the real context's charge for that prefix MINUS earlier shards'
@@ -57,7 +57,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <utility>
@@ -112,7 +111,7 @@ struct ShardLedger {
 // sequential counter-identity set.
 void ExpandShard(const EdgeUniverse& universe,
                  const std::vector<EdgePattern>& steps,
-                 std::span<const Edge> seeds, size_t hard_limit,
+                 std::span<const Edge> seeds,
                  const frontier::DensityPolicy& policy, ExecContext&& quiet,
                  ShardLedger& ledger, obs::ObsRegistry* reg,
                  obs::SpanId parent_span, size_t shard_index) {
@@ -120,8 +119,7 @@ void ExpandShard(const EdgeUniverse& universe,
                             static_cast<int64_t>(shard_index));
   const size_t last_level = steps.size() - 1;
   PathArena& arena = ledger.arena;
-  FoldKernel<ChainDirection::kForward> kernel(universe, arena, quiet, policy,
-                                              hard_limit);
+  FoldKernel<ChainDirection::kForward> kernel(universe, arena, quiet, policy);
   std::vector<PathNodeId> frontier;
   frontier.reserve(seeds.size());
   for (const Edge& e : seeds) frontier.push_back(arena.AddRoot(e));
@@ -173,8 +171,6 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   }
 
   GovernedPathSet out;
-  const size_t hard_limit =
-      spec.limits.max_paths.value_or(std::numeric_limits<size_t>::max());
   const size_t last_level = steps.size() - 1;
   const size_t path_length = steps.size();
 
@@ -249,7 +245,7 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   // Every shard speculates under the parent's FULL remaining budget: a
   // shard can then only trip at-or-after the point the sequential fold
   // would, so the sequential-order replay always trips first.
-  const ExecLimits shard_limits = ctx.RemainingLimits();
+  const ExecLimits speculation_limits = ctx.RemainingLimits();
 
   // One calibrated policy, shared read-only by every shard (calibration
   // snapshots the registry once, on the calling thread).
@@ -260,9 +256,9 @@ Result<GovernedPathSet> TraverseParallelGoverned(
   }
 
   options.pool->ParallelFor(num_shards, [&](size_t s) {
-    ExpandShard(universe, steps, slices[s], hard_limit, policy,
-                ExecContext::ShardContext(ctx, shard_limits), ledgers[s], reg,
-                run_span.id(), s);
+    ExpandShard(universe, steps, slices[s], policy,
+                ExecContext::ShardContext(ctx, speculation_limits), ledgers[s],
+                reg, run_span.id(), s);
   });
 
   // Replay: the sequential fold's exact guard-call sequence, fed from the
@@ -303,9 +299,8 @@ Result<GovernedPathSet> TraverseParallelGoverned(
     return PathSet::FromSortedUnique(std::move(merged));
   };
 
-  // The one-per-run flush for every graceful exit past the shard phase
-  // (the hard max_paths overflow reports nothing, like the sequential
-  // fold). paths_emitted is added by merge_first, per shard.
+  // The one-per-run flush for every exit past the shard phase.
+  // paths_emitted is added by merge_first, per shard.
   auto flush_obs = [&]() {
     if (reg == nullptr) return;
     reg->Add(obs::Metric::kTraversalRuns, 1);
@@ -361,7 +356,6 @@ Result<GovernedPathSet> TraverseParallelGoverned(
       }
     }
     ExecSpan level_span(ctx, "traverse.level", static_cast<int64_t>(k));
-    size_t staged = 0;
     for (size_t s = 0; s < num_shards; ++s) {
       const ShardLedger& ledger = ledgers[s];
       // A shard missing this level tripped earlier — but then replay of its
@@ -373,17 +367,16 @@ Result<GovernedPathSet> TraverseParallelGoverned(
         // so the replayed node count charges them up front — even when the
         // batched CheckStep/ChargeBytes below trips afterwards, the
         // sequential arena had already pushed these nodes.
-        if (!final_level) replayed_nodes += r.matches;
-        for (uint32_t j = 0; j < r.matches; ++j) {
-          if (staged >= hard_limit) return HardOverflow(hard_limit);
-          if (final_level) {
+        if (!final_level) {
+          replayed_nodes += r.matches;
+        } else {
+          for (uint32_t j = 0; j < r.matches; ++j) {
             if (!ctx.ChargePaths().ok()) {
               return truncated(k, ctx.limit_status());
             }
             ++emitted;
             ++replayed_nodes;  // Sequentially pushed only after the charge.
           }
-          ++staged;
         }
         switch (r.end) {
           case RunEnd::kComplete:
@@ -392,19 +385,13 @@ Result<GovernedPathSet> TraverseParallelGoverned(
               return truncated(k, ctx.limit_status());
             }
             break;
-          case RunEnd::kTripHard:
-            // Global staged >= shard-local staged >= hard_limit, and the
-            // shard saw one more matching edge — the sequential hard error.
-            if (staged >= hard_limit) return HardOverflow(hard_limit);
-            return truncated(k, ledger.local_status);  // Unreachable cover.
           case RunEnd::kTripPaths: {
             // The shard saw one more matching edge; sequentially it would
-            // face the hard cap, then ChargePaths. Probe the remaining
-            // budget instead of charging blindly: if the real budget is
-            // dry, charging reproduces the sequential trip; if not, this is
+            // face ChargePaths. Probe the remaining budget instead of
+            // charging blindly: if the real budget is dry, charging
+            // reproduces the sequential trip; if not, this is
             // under-coverage — stop with the shard's own status, without
             // minting a phantom path charge.
-            if (staged >= hard_limit) return HardOverflow(hard_limit);
             std::optional<size_t> left = ctx.RemainingLimits().max_paths;
             if (left.has_value() && *left == 0) {
               ctx.ChargePaths();  // Trips; records the sticky status.

@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/simplify.h"
 #include "core/traversal.h"
 #include "obs/obs.h"
 
@@ -108,13 +107,12 @@ ChainPlan PlanChain(const EdgeUniverse& universe,
 
 Result<PathSet> EvaluateChain(const EdgeUniverse& universe,
                               const std::vector<EdgePattern>& steps,
-                              ChainDirection direction,
-                              const PathSetLimits& limits) {
+                              ChainDirection direction) {
   // Ungoverned: run under an unlimited context. The only possible trip is
   // an armed fault injector, surfaced as the injected error.
   ExecContext unlimited;
   Result<GovernedPathSet> result =
-      EvaluateChainGoverned(universe, steps, direction, unlimited, limits);
+      EvaluateChainGoverned(universe, steps, direction, unlimited);
   if (!result.ok()) return result.status();
   if (result->truncated) return result->limit;
   return std::move(result->paths);
@@ -123,13 +121,10 @@ Result<PathSet> EvaluateChain(const EdgeUniverse& universe,
 Result<PathSet> EvaluatePlanned(const PathExpr& expr,
                                 const EdgeUniverse& universe,
                                 const EvalOptions& options) {
-  // Simplification first: collapsing ε/∅ nodes exposes atom chains.
-  PathExprPtr simplified = Simplify(expr.shared_from_this());
-  std::optional<std::vector<EdgePattern>> chain =
-      ExtractAtomChain(*simplified);
-  if (!chain.has_value()) return simplified->Evaluate(universe, options);
+  std::optional<std::vector<EdgePattern>> chain = ExtractAtomChain(expr);
+  if (!chain.has_value()) return expr.Evaluate(universe, options);
   ChainPlan plan = PlanChain(universe, *chain);
-  return EvaluateChain(universe, *chain, plan.direction, options.limits);
+  return EvaluateChain(universe, *chain, plan.direction);
 }
 
 Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
@@ -138,16 +133,14 @@ Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
                                                 const EvalOptions& options) {
   obs::ObsRegistry* const reg = ctx.observer();
   ExecSpan plan_span(ctx, "planner.evaluate");
-  PathExprPtr simplified = Simplify(expr.shared_from_this());
-  std::optional<std::vector<EdgePattern>> chain =
-      ExtractAtomChain(*simplified);
+  std::optional<std::vector<EdgePattern>> chain = ExtractAtomChain(expr);
   if (!chain.has_value()) {
     // Non-chain fallback: the bottom-up evaluator has no salvageable
     // prefix, so a trip degrades to an empty truncated result.
     if (reg != nullptr) reg->Add(obs::Metric::kPlannerFallbacks, 1);
     EvalOptions governed = options;
     governed.exec = &ctx;
-    Result<PathSet> evaluated = simplified->Evaluate(universe, governed);
+    Result<PathSet> evaluated = expr.Evaluate(universe, governed);
     GovernedPathSet out;
     if (evaluated.ok()) {
       out.paths = std::move(evaluated).value();
@@ -167,8 +160,7 @@ Result<GovernedPathSet> EvaluatePlannedGoverned(const PathExpr& expr,
                  : obs::Metric::kPlannerPlansBackward,
              1);
   }
-  return EvaluateChainGoverned(universe, *chain, plan.direction, ctx,
-                               options.limits);
+  return EvaluateChainGoverned(universe, *chain, plan.direction, ctx);
 }
 
 }  // namespace mrpa

@@ -83,11 +83,12 @@ ChainPlan PlanChain(const EdgeUniverse& universe,
 // the fold they run.
 Result<PathSet> EvaluateChain(const EdgeUniverse& universe,
                               const std::vector<EdgePattern>& steps,
-                              ChainDirection direction,
-                              const PathSetLimits& limits = {});
+                              ChainDirection direction);
 
 // One-call form: extract, plan, evaluate; falls back to PathExpr::Evaluate
-// for non-chain expressions.
+// for non-chain expressions, which it evaluates exactly as written (a
+// closure collapse such as (R*)* = R* is false under max_star_expansion).
+// `options` bounds only that fallback.
 Result<PathSet> EvaluatePlanned(const PathExpr& expr,
                                 const EdgeUniverse& universe,
                                 const EvalOptions& options = {});

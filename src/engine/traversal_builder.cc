@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "util/thread_pool.h"
-
 namespace mrpa {
 
 PathSet TraversalResult::ToPathSet() const {
@@ -133,13 +131,6 @@ GraphTraversal& GraphTraversal::WithExecContext(ExecContext* exec) {
   return *this;
 }
 
-GraphTraversal& GraphTraversal::WithThreadPool(ThreadPool* pool,
-                                               size_t shards_per_thread) {
-  pool_ = pool;
-  shards_per_thread_ = shards_per_thread > 0 ? shards_per_thread : 1;
-  return *this;
-}
-
 namespace {
 
 bool LabelAllowed(const std::vector<uint32_t>& labels, LabelId label) {
@@ -148,81 +139,6 @@ bool LabelAllowed(const std::vector<uint32_t>& labels, LabelId label) {
 }
 
 }  // namespace
-
-Status GraphTraversal::ExpandMoveParallel(const Step& step,
-                                          const std::vector<Traverser>& current,
-                                          std::vector<Traverser>& next) const {
-  // Contiguous shards over the traverser population; each shard emits into
-  // its own buffer in the sequential per-traverser order (out-run, then
-  // in-run), so concatenation reproduces the sequential `next` exactly.
-  size_t num_shards = pool_->num_threads() * shards_per_thread_;
-  num_shards = std::min(num_shards, current.size());
-  if (num_shards == 0) num_shards = 1;
-  const size_t base = current.size() / num_shards;
-  const size_t extra = current.size() % num_shards;
-  std::vector<size_t> begins(num_shards + 1);
-  for (size_t s = 0; s < num_shards; ++s) {
-    begins[s + 1] = begins[s] + base + (s < extra ? 1 : 0);
-  }
-
-  std::vector<std::vector<Traverser>> shard_out(num_shards);
-  // Emissions per traverser, so the merge can re-run the sequential
-  // after-each-traverser max_traversers check at the right boundaries.
-  std::vector<std::vector<uint32_t>> shard_counts(num_shards);
-
-  pool_->ParallelFor(num_shards, [&](size_t s) {
-    std::vector<Traverser>& out = shard_out[s];
-    std::vector<uint32_t>& counts = shard_counts[s];
-    counts.reserve(begins[s + 1] - begins[s]);
-    for (size_t i = begins[s]; i < begins[s + 1]; ++i) {
-      const Traverser& t = current[i];
-      uint32_t emitted = 0;
-      if (step.kind != StepKind::kMoveIn) {
-        for (const Edge& e : graph_->OutEdges(t.cursor)) {
-          if (!LabelAllowed(step.ids, e.label)) continue;
-          Traverser moved{t.history, e.head};
-          moved.history.Append(e);
-          out.push_back(std::move(moved));
-          ++emitted;
-        }
-      }
-      if (step.kind != StepKind::kMoveOut) {
-        for (EdgeIndex idx : graph_->InEdgeIndices(t.cursor)) {
-          const Edge& e = graph_->EdgeAt(idx);
-          if (!LabelAllowed(step.ids, e.label)) continue;
-          Traverser moved{t.history, e.tail};
-          moved.history.Append(e);
-          out.push_back(std::move(moved));
-          ++emitted;
-        }
-      }
-      counts.push_back(emitted);
-    }
-  });
-
-  size_t total = 0;
-  size_t running = next.size();
-  std::optional<size_t> overflow_at;  // Population size where the cap broke.
-  for (size_t s = 0; s < num_shards && !overflow_at.has_value(); ++s) {
-    for (uint32_t c : shard_counts[s]) {
-      running += c;
-      if (running > max_traversers_) {
-        overflow_at = running;
-        break;
-      }
-    }
-    total += shard_out[s].size();
-  }
-  if (overflow_at.has_value()) {
-    return Status::ResourceExhausted("traversal exceeded max_traversers = " +
-                                     std::to_string(max_traversers_));
-  }
-  next.reserve(next.size() + total);
-  for (std::vector<Traverser>& out : shard_out) {
-    for (Traverser& t : out) next.push_back(std::move(t));
-  }
-  return Status::OK();
-}
 
 Result<PathExprPtr> GraphTraversal::ToExpr() const {
   if (steps_.empty()) {
@@ -318,16 +234,6 @@ Result<TraversalResult> GraphTraversal::Execute() const {
       case StepKind::kMoveIn:
       case StepKind::kMoveBoth: {
         std::vector<Traverser> next;
-        if (pool_ != nullptr && exec_ == nullptr && !current.empty()) {
-          // Ungoverned parallel expansion; identical emission order and
-          // max_traversers error point (see WithThreadPool).
-          if (Status expanded = ExpandMoveParallel(step, current, next);
-              !expanded.ok()) {
-            return expanded;
-          }
-          current = std::move(next);
-          break;
-        }
         for (const Traverser& t : current) {
           if (step.kind != StepKind::kMoveIn) {
             for (const Edge& e : graph_->OutEdges(t.cursor)) {

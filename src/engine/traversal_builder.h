@@ -37,8 +37,6 @@
 
 namespace mrpa {
 
-class ThreadPool;
-
 struct Traverser {
   Path history;      // Every edge walked, in order, forward or backward.
   VertexId cursor;   // Where the traverser currently stands.
@@ -135,18 +133,6 @@ class GraphTraversal {
   // nullptr to restore ungoverned evaluation.
   GraphTraversal& WithExecContext(ExecContext* exec);
 
-  // Expands move steps on the pool: the traverser population is cut into
-  // contiguous shards, each shard's candidate edges are enumerated
-  // concurrently, and the shard outputs are concatenated — which is exactly
-  // the sequential emission order, so results (including the
-  // max_traversers hard-error point) are identical to the sequential
-  // engine's. Only ungoverned pipelines parallelize: when an ExecContext is
-  // set, Execute() falls back to the sequential path so the governance
-  // charge sequence (and fault-probe order) stays exact. `pool` is not
-  // owned; nullptr restores sequential evaluation. The graph's const
-  // accessors are thread-safe (immutable CSR snapshot).
-  GraphTraversal& WithThreadPool(ThreadPool* pool, size_t shards_per_thread = 4);
-
  private:
   enum class StepKind {
     kSeedAll,
@@ -171,19 +157,10 @@ class GraphTraversal {
 
   GraphTraversal& AddMove(StepKind kind, std::vector<LabelId> labels);
 
-  // The parallel expansion of one move step over `current`; appends to
-  // `next` in sequential emission order. Returns the hard max_traversers
-  // overflow when the sequential engine would have erred, OK otherwise.
-  Status ExpandMoveParallel(const Step& step,
-                            const std::vector<Traverser>& current,
-                            std::vector<Traverser>& next) const;
-
   const MultiRelationalGraph* graph_;
   std::vector<Step> steps_;
   size_t max_traversers_ = 1'000'000;
   ExecContext* exec_ = nullptr;  // Nullable; not owned.
-  ThreadPool* pool_ = nullptr;   // Nullable; not owned.
-  size_t shards_per_thread_ = 4;
 };
 
 }  // namespace mrpa

@@ -91,24 +91,20 @@ BinaryGraph ProjectPaths(const PathSet& paths, uint32_t num_vertices) {
 }
 
 Result<BinaryGraph> DeriveLabelSequenceRelation(
-    const MultiRelationalGraph& graph, const std::vector<LabelId>& labels,
-    const PathSetLimits& limits) {
-  // The reachability fast path never counts paths and never probes fault
-  // sites, so it only applies when neither is observable: no max_paths (its
-  // hard-error semantics hinge on the path COUNT the fast path never
-  // computes) and no armed injector (the enumeration route probes
-  // per-extension sites a deterministic number of times). Length-1
-  // sequences stay on the enumeration route too: E_α is one label-run copy
-  // there, while per-source frontier resets alone would cost O(|V|²/64).
-  // E22 measures the gap against the enumeration route below.
-  if (labels.size() >= 2 && !limits.max_paths.has_value() &&
-      !FaultInjector::AnyArmed()) {
+    const MultiRelationalGraph& graph, const std::vector<LabelId>& labels) {
+  // The reachability fast path never probes fault sites, so it only applies
+  // when no injector is armed (the enumeration route probes per-extension
+  // sites a deterministic number of times). Length-1 sequences stay on the
+  // enumeration route too: E_α is one label-run copy there, while
+  // per-source frontier resets alone would cost O(|V|²/64). E22 measures
+  // the gap against the enumeration route below.
+  if (labels.size() >= 2 && !FaultInjector::AnyArmed()) {
     return DeriveByReachability(graph, labels);
   }
   std::vector<std::vector<LabelId>> steps;
   steps.reserve(labels.size());
   for (LabelId l : labels) steps.push_back({l});
-  Result<PathSet> paths = LabeledTraversal(graph, steps, limits);
+  Result<PathSet> paths = LabeledTraversal(graph, steps);
   if (!paths.ok()) return paths.status();
   return ProjectPaths(paths.value(), graph.num_vertices());
 }

@@ -42,8 +42,7 @@ BinaryGraph ProjectPaths(const PathSet& paths, uint32_t num_vertices);
 // Method 3a: E_{α1...αk} — endpoints of all joint paths whose path label is
 // exactly the given sequence (the paper's E_αβ generalized to length k).
 Result<BinaryGraph> DeriveLabelSequenceRelation(
-    const MultiRelationalGraph& graph, const std::vector<LabelId>& labels,
-    const PathSetLimits& limits = {});
+    const MultiRelationalGraph& graph, const std::vector<LabelId>& labels);
 
 // Method 3b: the general form — endpoints of all paths denoted by `expr`
 // (a regular path generator feeds this; see regex/generator.h).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/obs.h"
-#include "util/thread_pool.h"
 
 namespace mrpa {
 
@@ -35,17 +34,13 @@ Result<bool> NfaRecognizer::Recognize(std::span<const Edge> edges,
 }
 
 Result<bool> NfaRecognizer::RecognizeImpl(std::span<const Edge> edges,
-                                          ExecContext* ctx,
-                                          std::vector<uint32_t>* widths) const {
+                                          ExecContext* ctx) const {
   // Position 0 has no previous edge, so adjacency is vacuously satisfied:
   // start with the break armed.
   std::vector<NfaPosition> current = {{nfa_.start(), true}};
   EpsilonClose(nfa_, current);
 
   for (size_t n = 0; n < edges.size(); ++n) {
-    if (widths != nullptr) {
-      widths->push_back(static_cast<uint32_t>(current.size()));
-    }
     if (ctx != nullptr) {
       // The frontier width is the per-edge simulation cost.
       MRPA_RETURN_IF_ERROR(ctx->CheckStep(current.size() + 1));
@@ -72,149 +67,49 @@ Result<bool> NfaRecognizer::RecognizeImpl(std::span<const Edge> edges,
                      });
 }
 
-PathSet NfaRecognizer::AcceptedSubset(const PathSet& candidates,
-                                      ThreadPool* pool) const {
-  const std::vector<Path>& paths = candidates.paths();
-  std::vector<uint8_t> accepted(paths.size(), 0);
-  auto judge = [&](size_t i) { accepted[i] = Recognize(paths[i]) ? 1 : 0; };
-  if (pool == nullptr || paths.size() < 2) {
-    for (size_t i = 0; i < paths.size(); ++i) judge(i);
-  } else {
-    // Chunk rather than one task per path: recognition of a short path is
-    // far cheaper than a task dispatch.
-    const size_t num_shards = std::min(pool->num_threads() * 4, paths.size());
-    const size_t base = paths.size() / num_shards;
-    const size_t extra = paths.size() % num_shards;
-    pool->ParallelFor(num_shards, [&](size_t s) {
-      size_t begin = s * base + std::min(s, extra);
-      size_t end = begin + base + (s < extra ? 1 : 0);
-      for (size_t i = begin; i < end; ++i) judge(i);
-    });
-  }
+PathSet NfaRecognizer::AcceptedSubset(const PathSet& candidates) const {
   std::vector<Path> kept;
-  for (size_t i = 0; i < paths.size(); ++i) {
-    if (accepted[i]) kept.push_back(paths[i]);
+  for (const Path& p : candidates) {
+    if (Recognize(p)) kept.push_back(p);
   }
   return PathSet::FromSortedUnique(std::move(kept));
 }
 
 Result<GovernedPathSet> NfaRecognizer::AcceptedSubsetGoverned(
-    const PathSet& candidates, ExecContext& ctx, ThreadPool* pool) const {
-  const std::vector<Path>& paths = candidates.paths();
+    const PathSet& candidates, ExecContext& ctx) const {
   GovernedPathSet out;
 
   // Boundary observability: candidates counts paths judged to completion
   // (a mid-simulation trip leaves the path uncounted), accepted the kept
-  // subset. The parallel branch counts from the REPLAY, never the shard
-  // workers, so sequential and pooled batches report identical numbers.
+  // subset.
   obs::ObsRegistry* const reg = ctx.observer();
   ExecStats obs_before;
   if (reg != nullptr) obs_before = ctx.Snapshot();
   ExecSpan batch_span(ctx, "recognizer.batch");
   size_t judged = 0;
-  auto flush_obs = [&]() {
-    if (reg == nullptr) return;
+
+  // Recognize in canonical order; the first trip ends the scan with the
+  // accepted prefix.
+  std::vector<Path> kept;
+  for (const Path& p : candidates) {
+    Result<bool> verdict = RecognizeImpl(p.edges(), &ctx);
+    if (!verdict.ok()) {
+      out.truncated = true;
+      out.limit = verdict.status();
+      break;
+    }
+    ++judged;
+    if (reg != nullptr) {
+      reg->Record(obs::Hist::kRecognizerPathLength, p.length());
+    }
+    if (*verdict) kept.push_back(p);
+  }
+  out.paths = PathSet::FromSortedUnique(std::move(kept));
+  if (reg != nullptr) {
     reg->Add(obs::Metric::kRecognizerBatchCandidates, judged);
     reg->Add(obs::Metric::kRecognizerBatchAccepted, out.paths.size());
     AddExecStatsDelta(*reg, obs_before, ctx.Snapshot());
-  };
-
-  if (pool == nullptr || paths.size() < 2) {
-    // The sequential reference: recognize in canonical order; the first
-    // trip ends the scan with the accepted prefix.
-    std::vector<Path> kept;
-    for (const Path& p : paths) {
-      Result<bool> verdict = RecognizeImpl(p.edges(), &ctx);
-      if (!verdict.ok()) {
-        out.truncated = true;
-        out.limit = verdict.status();
-        break;
-      }
-      ++judged;
-      if (reg != nullptr) {
-        reg->Record(obs::Hist::kRecognizerPathLength, p.length());
-      }
-      if (*verdict) kept.push_back(p);
-    }
-    out.paths = PathSet::FromSortedUnique(std::move(kept));
-    flush_obs();
-    out.stats = ctx.Snapshot();
-    return out;
   }
-
-  // Parallel: speculate per shard under quiet contexts, then replay the
-  // recorded CheckStep arguments in candidate order — the same scheme as
-  // TraverseParallelGoverned (see DESIGN.md, "Parallel traversal").
-  struct PathRecord {
-    std::vector<uint32_t> widths;
-    bool accepted = false;
-    bool tripped = false;  // The quiet context stopped this simulation.
-  };
-  struct Shard {
-    std::vector<PathRecord> records;
-    Status local_status;
-  };
-  const size_t num_shards = std::min(pool->num_threads() * 4, paths.size());
-  const size_t base = paths.size() / num_shards;
-  const size_t extra = paths.size() % num_shards;
-  std::vector<Shard> shards(num_shards);
-  pool->ParallelFor(num_shards, [&](size_t s) {
-    size_t begin = s * base + std::min(s, extra);
-    size_t end = begin + base + (s < extra ? 1 : 0);
-    ExecContext quiet =
-        ExecContext::ShardContext(ctx, ctx.RemainingLimits());
-    Shard& shard = shards[s];
-    shard.records.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      PathRecord& record = shard.records.emplace_back();
-      Result<bool> verdict = RecognizeImpl(paths[i].edges(), &quiet, &record.widths);
-      if (!verdict.ok()) {
-        record.tripped = true;
-        shard.local_status = quiet.limit_status();
-        break;  // Speculation bound reached; later paths stay unrecorded.
-      }
-      record.accepted = *verdict;
-    }
-  });
-
-  std::vector<Path> kept;
-  size_t index = 0;
-  for (const Shard& shard : shards) {
-    for (const PathRecord& record : shard.records) {
-      const Path& p = paths[index++];
-      for (uint32_t width : record.widths) {
-        if (!ctx.CheckStep(width + 1).ok()) {
-          out.truncated = true;
-          out.limit = ctx.limit_status();
-          out.paths = PathSet::FromSortedUnique(std::move(kept));
-          flush_obs();
-          out.stats = ctx.Snapshot();
-          return out;
-        }
-      }
-      if (record.tripped) {
-        // The quiet context tripped where the real one did not — possible
-        // only for wall-clock limits. Stop with the shard's own status.
-        out.truncated = true;
-        out.limit = shard.local_status;
-        out.paths = PathSet::FromSortedUnique(std::move(kept));
-        flush_obs();
-        out.stats = ctx.Snapshot();
-        out.stats.truncated = true;
-        return out;
-      }
-      ++judged;
-      if (reg != nullptr) {
-        reg->Record(obs::Hist::kRecognizerPathLength, p.length());
-      }
-      if (record.accepted) kept.push_back(p);
-    }
-    // A shard whose record list is shorter than its slice tripped; the
-    // trip record above already ended the replay, so a shortfall here
-    // means the shard never reached those paths — neither did the scan.
-  }
-  out.paths = PathSet::FromSortedUnique(std::move(kept));
-  flush_obs();
   out.stats = ctx.Snapshot();
   return out;
 }

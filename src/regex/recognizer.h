@@ -18,9 +18,7 @@
 #ifndef MRPA_REGEX_RECOGNIZER_H_
 #define MRPA_REGEX_RECOGNIZER_H_
 
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/path.h"
 #include "core/path_set.h"
@@ -30,8 +28,6 @@
 #include "util/status.h"
 
 namespace mrpa {
-
-class ThreadPool;
 
 class NfaRecognizer {
  public:
@@ -59,35 +55,21 @@ class NfaRecognizer {
   Result<bool> Recognize(std::span<const Edge> edges, ExecContext& ctx) const;
 
   // Batch filtering: { p ∈ candidates | p ∈ L(R) }, the recognizer-guided
-  // step of §IV-A used to refine traversal output. With a pool, candidate
-  // slices are recognized concurrently (Recognize is const and
-  // thread-safe); the result is identical to the sequential loop.
-  PathSet AcceptedSubset(const PathSet& candidates,
-                         ThreadPool* pool = nullptr) const;
+  // step of §IV-A used to refine traversal output.
+  PathSet AcceptedSubset(const PathSet& candidates) const;
 
-  // Governed batch filtering. The sequential contract charges each path's
-  // simulation (one CheckStep(frontier+1) per input edge) in canonical
-  // candidate order; a trip stops the scan, and the result holds the
-  // accepted paths among the candidates fully recognized before the trip,
-  // with `truncated` set. With a pool, shards simulate speculatively under
-  // quiet sub-contexts (shared cancel/deadline, fault probes off) and the
-  // recorded frontier widths are replayed against `ctx` in sequential
-  // order, so output, truncation point, counters, and fault-probe sequence
-  // are byte-identical to the sequential run for countable budgets (wall
-  // clock may move the trip point; the result is then still a correct
-  // prefix of the scan).
+  // Governed batch filtering: each path's simulation is charged (one
+  // CheckStep(frontier+1) per input edge) in canonical candidate order; a
+  // trip stops the scan, and the result holds the accepted paths among the
+  // candidates fully recognized before the trip, with `truncated` set.
   Result<GovernedPathSet> AcceptedSubsetGoverned(const PathSet& candidates,
-                                                 ExecContext& ctx,
-                                                 ThreadPool* pool = nullptr) const;
+                                                 ExecContext& ctx) const;
 
   const Nfa& nfa() const { return nfa_; }
 
  private:
-  // When `widths` is non-null, the frontier width at each consumed edge is
-  // appended to it (the arguments of the CheckStep calls a governed run
-  // makes) — the recording hook of the parallel batch ledger.
-  Result<bool> RecognizeImpl(std::span<const Edge> edges, ExecContext* ctx,
-                             std::vector<uint32_t>* widths = nullptr) const;
+  Result<bool> RecognizeImpl(std::span<const Edge> edges,
+                             ExecContext* ctx) const;
 
   Nfa nfa_;
 };

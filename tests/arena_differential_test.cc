@@ -285,30 +285,6 @@ TEST_P(ArenaDifferentialTest, ArenaMatchesMaterializedOracle) {
   }
 }
 
-// The hard max_paths cap must produce the identical non-OK Result.
-TEST_P(ArenaDifferentialTest, HardCapAgreement) {
-  Rng rng(GetParam() * 0x2545f4914f6cdd1dULL + 97);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 271 + c + 1);
-    TraversalSpec spec;
-    spec.steps = RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-
-    Outcome probe = RunMaterialized(graph, spec, ExecLimits::Unlimited());
-    ASSERT_TRUE(probe.hard.ok());
-    const size_t paths = probe.stats.paths_yielded;
-    if (paths == 0) continue;
-
-    const size_t caps[] = {static_cast<size_t>(rng.Below(paths)), paths};
-    for (size_t cap : caps) {
-      SCOPED_TRACE("cap " + std::to_string(cap));
-      spec.limits.max_paths = cap;
-      Outcome oracle = RunMaterialized(graph, spec, ExecLimits::Unlimited());
-      ExpectIdentical(oracle, RunArena(graph, spec, ExecLimits::Unlimited()));
-    }
-  }
-}
-
 // The DFS iterator shares the arena spine; its drain must equal the fold's
 // language, and a path-budgeted drain must yield the same canonical prefix
 // the governed fold reports.

@@ -193,7 +193,7 @@ Outcome RunBackward(const EdgeUniverse& universe,
   ExecContext ctx(limits);
   return FromResult(EvaluateChainGoverned(universe, steps,
                                           ChainDirection::kBackward, ctx,
-                                          /*limits=*/{}, policy));
+                                          policy));
 }
 
 void ExpectIdentical(const Outcome& oracle, const Outcome& subject) {
@@ -359,35 +359,6 @@ TEST_P(FrontierDifferentialTest, DensityModeIsPureStrategy) {
   }
 }
 
-// The hard max_paths cap: identical non-OK Result in every mode.
-TEST_P(FrontierDifferentialTest, HardCapAgreement) {
-  Rng rng(GetParam() * 0x2545f4914f6cdd1dULL + 223);
-  for (int c = 0; c < 3; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 353 + c + 1);
-    TraversalSpec spec;
-    spec.steps = RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-
-    Outcome probe = RunMaterialized(graph, spec, ExecLimits::Unlimited());
-    ASSERT_TRUE(probe.hard.ok());
-    const size_t paths = probe.stats.paths_yielded;
-    if (paths == 0) continue;
-
-    spec.limits.max_paths = static_cast<size_t>(rng.Below(paths));
-    Outcome oracle = RunMaterialized(graph, spec, ExecLimits::Unlimited());
-    for (const std::optional<SimdTier>& tier : DispatchTiers()) {
-      SCOPED_TRACE(TierTrace(tier));
-      ScopedTier pin(tier);
-      for (DensityMode mode :
-           {DensityMode::kForceSparse, DensityMode::kForceDense}) {
-        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
-        ExpectIdentical(oracle, RunWithPolicy(graph, spec, Forced(mode),
-                                              ExecLimits::Unlimited()));
-      }
-    }
-  }
-}
-
 // The backward chain evaluator's dense replay: forced-dense vs
 // forced-sparse vs each other under budgets and faults. The sparse backward
 // walk is its own oracle — it predates the dense machinery byte-for-byte.
@@ -475,7 +446,7 @@ TEST_P(FrontierDifferentialTest, ProjectionFastPathMatchesEnumeration) {
     // inside DeriveLabelSequenceRelation runs).
     std::vector<std::vector<LabelId>> steps;
     for (LabelId l : labels) steps.push_back({l});
-    Result<PathSet> paths = LabeledTraversal(graph, steps, /*limits=*/{});
+    Result<PathSet> paths = LabeledTraversal(graph, steps);
     ASSERT_TRUE(paths.ok());
     const BinaryGraph oracle =
         ProjectPaths(paths.value(), graph.num_vertices());
@@ -486,24 +457,6 @@ TEST_P(FrontierDifferentialTest, ProjectionFastPathMatchesEnumeration) {
       Result<BinaryGraph> fast = DeriveLabelSequenceRelation(graph, labels);
       ASSERT_TRUE(fast.ok());
       EXPECT_EQ(fast.value(), oracle);
-    }
-
-    // max_paths present → the enumeration route with its hard-error
-    // semantics, not the fast path: the governed outcome (error or value)
-    // must match the hand-assembled route under the identical cap.
-    if (!paths.value().empty()) {
-      PathSetLimits limits;
-      limits.max_paths = paths.value().size() - 1;
-      Result<PathSet> capped_paths = LabeledTraversal(graph, steps, limits);
-      Result<BinaryGraph> capped =
-          DeriveLabelSequenceRelation(graph, labels, limits);
-      ASSERT_EQ(capped.ok(), capped_paths.ok());
-      if (capped.ok()) {
-        EXPECT_EQ(capped.value(),
-                  ProjectPaths(capped_paths.value(), graph.num_vertices()));
-      } else {
-        EXPECT_EQ(capped.status(), capped_paths.status());
-      }
     }
 
     // Armed injector → fall back to the enumeration route and surface

@@ -140,13 +140,12 @@ TEST(GovernanceTest, BackwardChainPathBudgetTruncates) {
   auto g = Clique();
   std::vector<EdgePattern> steps = {EdgePattern::Any(), EdgePattern::Any()};
 
-  auto full =
-      EvaluateChain(g, steps, ChainDirection::kBackward, PathSetLimits{});
+  auto full = EvaluateChain(g, steps, ChainDirection::kBackward);
   ASSERT_TRUE(full.ok());
 
   ExecContext ctx = ExecContext::WithPathBudget(5);
-  auto governed = EvaluateChainGoverned(g, steps, ChainDirection::kBackward,
-                                        ctx, PathSetLimits{});
+  auto governed =
+      EvaluateChainGoverned(g, steps, ChainDirection::kBackward, ctx);
   ASSERT_TRUE(governed.ok());
   EXPECT_TRUE(governed->truncated);
   EXPECT_TRUE(governed->limit.IsResourceExhausted());
@@ -158,8 +157,8 @@ TEST(GovernanceTest, BackwardChainStepBudgetTruncates) {
   auto g = Clique();
   std::vector<EdgePattern> steps = {EdgePattern::Any(), EdgePattern::Any()};
   ExecContext ctx = ExecContext::WithStepBudget(25);
-  auto governed = EvaluateChainGoverned(g, steps, ChainDirection::kBackward,
-                                        ctx, PathSetLimits{});
+  auto governed =
+      EvaluateChainGoverned(g, steps, ChainDirection::kBackward, ctx);
   ASSERT_TRUE(governed.ok());
   EXPECT_TRUE(governed->truncated);
   EXPECT_TRUE(governed->limit.IsResourceExhausted());
@@ -171,11 +170,10 @@ TEST(GovernanceTest, GovernedChainMatchesUngovernedWithinBudget) {
   for (ChainDirection dir :
        {ChainDirection::kForward, ChainDirection::kBackward}) {
     ExecContext ctx;  // Unlimited.
-    auto governed =
-        EvaluateChainGoverned(g, steps, dir, ctx, PathSetLimits{});
+    auto governed = EvaluateChainGoverned(g, steps, dir, ctx);
     ASSERT_TRUE(governed.ok());
     EXPECT_FALSE(governed->truncated);
-    auto plain = EvaluateChain(g, steps, dir, PathSetLimits{});
+    auto plain = EvaluateChain(g, steps, dir);
     ASSERT_TRUE(plain.ok());
     EXPECT_EQ(governed->paths, *plain);
   }

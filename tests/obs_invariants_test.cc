@@ -11,8 +11,11 @@
 //   4. counters are identical between TraverseGoverned and
 //      TraverseParallelGoverned at pool widths 1/2/8, across randomized
 //      graphs, budget regimes, and injected faults (speculation-only
-//      parallel.* metrics excepted — they have no sequential counterpart).
+//      parallel.* metrics excepted — they have no sequential counterpart);
+//   5. the count fold's exec.* counters equal the stats it returns, in
+//      both directions, whether it answers, enumerates or gives up.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -398,6 +401,83 @@ TEST_P(ObsInvariantsTest, TripsAnnotateTheInnermostSpan) {
           << s.name;
     }
     EXPECT_EQ(annotated, 1u);
+  }
+}
+
+// The count fold under a registry, in both directions: the exec.* deltas
+// it reports equal the stats it returns in each regime — unlimited (the
+// fold answers), a step budget below an unlimited probe's steps_expanded
+// (the enumerating fold answers, truncated), and an already-expired
+// deadline (a count of 0, truncated) — its spans nest, and a truncated run
+// records exactly one trip.
+TEST_P(ObsInvariantsTest, CountFoldCountersMatchItsStats) {
+  Rng rng(GetParam() * 0x2545f4914f6cdd1dULL + 419);
+  for (int c = 0; c < 4; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 421 + c + 1);
+    const std::vector<EdgePattern> steps =
+        RandomSteps(rng, graph.num_vertices(), graph.num_labels());
+    for (ChainDirection direction :
+         {ChainDirection::kForward, ChainDirection::kBackward}) {
+      SCOPED_TRACE(direction == ChainDirection::kForward ? "forward"
+                                                         : "backward");
+      ExecContext probe_ctx;
+      Result<GovernedCount> probe =
+          CountChainGoverned(graph, steps, direction, probe_ctx);
+      ASSERT_TRUE(probe.ok());
+      ASSERT_FALSE(probe->truncated);
+
+      struct Regime {
+        ExecLimits limits;
+        bool truncates = false;
+      };
+      std::vector<Regime> regimes;
+      regimes.push_back({ExecLimits::Unlimited(), false});
+      if (probe->stats.steps_expanded > 0) {
+        ExecLimits limits;
+        limits.max_steps =
+            static_cast<size_t>(rng.Below(probe->stats.steps_expanded));
+        regimes.push_back({limits, true});
+      }
+      ExecLimits expired;
+      expired.timeout = std::chrono::nanoseconds(0);
+      regimes.push_back({expired, true});
+
+      for (size_t r = 0; r < regimes.size(); ++r) {
+        SCOPED_TRACE("regime " + std::to_string(r));
+        obs::ObsRegistry reg;
+        ExecContext ctx(regimes[r].limits);
+        ctx.AttachObs(&reg);
+        Result<GovernedCount> count =
+            CountChainGoverned(graph, steps, direction, ctx);
+        ASSERT_TRUE(count.ok());
+        EXPECT_EQ(count->truncated, regimes[r].truncates);
+        if (!count->truncated) {
+          EXPECT_EQ(count->count, probe->count);
+        }
+        if (regimes[r].limits.timeout.has_value()) {
+          EXPECT_EQ(count->count, 0u);
+        }
+        EXPECT_EQ(reg.Value(obs::Metric::kExecPathsYielded),
+                  count->stats.paths_yielded);
+        EXPECT_EQ(reg.Value(obs::Metric::kExecStepsExpanded),
+                  count->stats.steps_expanded);
+        EXPECT_EQ(reg.Value(obs::Metric::kExecBytesCharged),
+                  count->stats.bytes_charged);
+        uint64_t trips = 0;
+        for (obs::Metric trip : {obs::Metric::kExecTripsStepBudget,
+                                 obs::Metric::kExecTripsPathBudget,
+                                 obs::Metric::kExecTripsByteBudget,
+                                 obs::Metric::kExecTripsDeadline,
+                                 obs::Metric::kExecTripsCancelled,
+                                 obs::Metric::kExecTripsFault}) {
+          trips += reg.Value(trip);
+        }
+        EXPECT_EQ(trips, count->truncated ? 1u : 0u);
+        ExpectSlotConservation(reg);
+        ExpectSpansNest(reg);
+      }
+    }
   }
 }
 

@@ -9,8 +9,7 @@
 // cases, seeded and reproducible. Case arithmetic for the main identity
 // test alone: 6 seeds × 5 graph/spec draws × (up to 5 budget regimes +
 // 2 fault injections) × 3 pool widths {1, 2, 8} ≈ 630 differential
-// comparisons, comfortably past the 500-case bar before the fluent-engine
-// and hard-cap suites below add their own.
+// comparisons, comfortably past the 500-case bar.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,7 +21,6 @@
 #include "core/edge_pattern.h"
 #include "core/path_set.h"
 #include "core/traversal.h"
-#include "engine/traversal_builder.h"
 #include "generators/generators.h"
 #include "graph/multi_graph.h"
 #include "gtest/gtest.h"
@@ -115,7 +113,7 @@ MultiRelationalGraph RandomGraph(Rng& rng, uint64_t seed) {
 
 // The observable outcome of one governed run, flattened for comparison.
 struct Outcome {
-  Status hard;  // Non-OK when the run returned a hard error (max_paths cap).
+  Status hard;  // Non-OK when the run returned an error Result.
   PathSet paths;
   bool truncated = false;
   Status limit;
@@ -303,45 +301,6 @@ TEST_P(ParallelDifferentialTest, GovernedByteIdentity) {
   }
 }
 
-// spec.limits.max_paths keeps its HARD-error semantics (non-OK Result, not
-// graceful truncation); the parallel replay must reproduce the sequential
-// error point — including when a governance budget races the hard cap.
-TEST_P(ParallelDifferentialTest, HardPathCapAgreement) {
-  Rng rng(GetParam() * 0x2545f4914f6cdd1dULL + 3);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 131 + c + 1);
-    TraversalSpec spec;
-    spec.steps = RandomSteps(rng, graph.num_vertices(), graph.num_labels());
-
-    Outcome probe = RunSequential(graph, spec, ExecLimits::Unlimited());
-    ASSERT_TRUE(probe.hard.ok());
-    const size_t paths = probe.stats.paths_yielded;
-    if (paths == 0) continue;
-
-    // Below the full count → hard error; at/above → identical success.
-    const size_t caps[] = {static_cast<size_t>(rng.Below(paths)), paths};
-    for (size_t cap : caps) {
-      SCOPED_TRACE("cap " + std::to_string(cap));
-      spec.limits.max_paths = cap;
-      Outcome seq = RunSequential(graph, spec, ExecLimits::Unlimited());
-      for (ThreadPool* pool : Pools()) {
-        ExpectIdentical(seq,
-                        RunParallel(graph, spec, ExecLimits::Unlimited(), *pool));
-      }
-      // The cap racing a step budget: whichever outcome the sequential
-      // fold reaches first, the parallel fold must reach too.
-      ExecLimits limits;
-      limits.max_steps =
-          static_cast<size_t>(rng.Between(1, probe.stats.steps_expanded));
-      seq = RunSequential(graph, spec, limits);
-      for (ThreadPool* pool : Pools()) {
-        ExpectIdentical(seq, RunParallel(graph, spec, limits, *pool));
-      }
-    }
-  }
-}
-
 TEST_P(ParallelDifferentialTest, UngovernedMatchesSequential) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 29);
   for (int c = 0; c < 4; ++c) {
@@ -358,71 +317,6 @@ TEST_P(ParallelDifferentialTest, UngovernedMatchesSequential) {
       Result<PathSet> par = TraverseParallel(graph, spec, options);
       ASSERT_TRUE(par.ok());
       EXPECT_EQ(*seq, *par);
-    }
-  }
-}
-
-// The fluent engine: parallel move expansion must reproduce the sequential
-// traverser population (histories AND cursors, in order) and the
-// max_traversers hard-error point.
-TEST_P(ParallelDifferentialTest, FluentEngineMatches) {
-  Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 57);
-  for (int c = 0; c < 4; ++c) {
-    SCOPED_TRACE("case " + std::to_string(c));
-    MultiRelationalGraph graph = RandomGraph(rng, GetParam() * 211 + c + 1);
-    const uint32_t labels = graph.num_labels();
-
-    GraphTraversal base(graph);
-    base.V();
-    const size_t moves = 2 + rng.Below(2);
-    for (size_t m = 0; m < moves; ++m) {
-      switch (rng.Below(3)) {
-        case 0:
-          base.Out(static_cast<LabelId>(rng.Below(labels)));
-          break;
-        case 1:
-          base.In(static_cast<LabelId>(rng.Below(labels)));
-          break;
-        default:
-          base.Out();
-          break;
-      }
-    }
-
-    Result<TraversalResult> seq = base.Execute();
-    ASSERT_TRUE(seq.ok());
-    for (ThreadPool* pool : Pools()) {
-      SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-      GraphTraversal parallel = base;
-      parallel.WithThreadPool(pool);
-      Result<TraversalResult> par = parallel.Execute();
-      ASSERT_TRUE(par.ok());
-      ASSERT_EQ(seq->traversers.size(), par->traversers.size());
-      for (size_t i = 0; i < seq->traversers.size(); ++i) {
-        EXPECT_EQ(seq->traversers[i].history, par->traversers[i].history);
-        EXPECT_EQ(seq->traversers[i].cursor, par->traversers[i].cursor);
-      }
-    }
-
-    // Hard traverser cap: both engines must fail at the same point with
-    // the same error, or both succeed.
-    if (!seq->traversers.empty()) {
-      const size_t cap = rng.Below(seq->traversers.size()) + 1;
-      GraphTraversal capped = base;
-      capped.WithMaxTraversers(cap);
-      Result<TraversalResult> seq_capped = capped.Execute();
-      for (ThreadPool* pool : Pools()) {
-        GraphTraversal par_capped = capped;
-        par_capped.WithThreadPool(pool);
-        Result<TraversalResult> par_result = par_capped.Execute();
-        ASSERT_EQ(seq_capped.ok(), par_result.ok());
-        if (!seq_capped.ok()) {
-          EXPECT_EQ(seq_capped.status(), par_result.status());
-        } else {
-          EXPECT_EQ(seq_capped->traversers.size(),
-                    par_result->traversers.size());
-        }
-      }
     }
   }
 }

@@ -7,10 +7,12 @@
 //   * Governed recognition under an armed ExecContext: wherever the budget
 //     allows a verdict at all, it must agree with the ungoverned one, and a
 //     trip must surface the guard's status, never a wrong verdict.
-//   * AcceptedSubsetGoverned parallel-vs-sequential byte-identity (the
-//     batch-filter instance of the speculate/replay scheme), including
-//     truncation points, counters, and injected faults, at pool widths
-//     {1, 2, 8}.
+//   * The batch filters against judging the candidates one by one:
+//     AcceptedSubset keeps exactly the candidates Recognize accepts, and
+//     AcceptedSubsetGoverned, under step budgets and injected faults, keeps
+//     the accepted candidates among those judged before the trip, with the
+//     truncation, limit status and counters of governed Recognize calls
+//     made one by one on one context.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +33,6 @@
 #include "util/fault_injector.h"
 #include "util/random.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace mrpa {
 namespace {
@@ -82,7 +83,7 @@ PathExprPtr RandomProductFreeExpr(Rng& rng, uint32_t num_vertices,
 
 // All joint paths of the graph up to length 3, plus ε: the candidate
 // population every engine is interrogated over. ε is deliberately included
-// — it makes zero CheckStep calls, a replay edge case.
+// — it makes zero CheckStep calls, an edge case of the governed scan.
 PathSet CandidatePaths(const MultiRelationalGraph& graph) {
   PathSet candidates = PathSet::EpsilonSet();
   for (size_t length = 1; length <= 3; ++length) {
@@ -113,10 +114,9 @@ struct BatchOutcome {
 };
 
 BatchOutcome RunBatch(const NfaRecognizer& nfa, const PathSet& candidates,
-                      const ExecLimits& limits, ThreadPool* pool) {
+                      const ExecLimits& limits) {
   ExecContext ctx(limits);
-  Result<GovernedPathSet> result =
-      nfa.AcceptedSubsetGoverned(candidates, ctx, pool);
+  Result<GovernedPathSet> result = nfa.AcceptedSubsetGoverned(candidates, ctx);
   BatchOutcome out;
   EXPECT_TRUE(result.ok());
   if (!result.ok()) return out;
@@ -127,26 +127,41 @@ BatchOutcome RunBatch(const NfaRecognizer& nfa, const PathSet& candidates,
   return out;
 }
 
-void ExpectBatchIdentical(const BatchOutcome& seq, const BatchOutcome& par) {
-  EXPECT_EQ(seq.truncated, par.truncated);
-  EXPECT_EQ(seq.limit, par.limit)
-      << "seq: " << seq.limit << " par: " << par.limit;
-  EXPECT_EQ(seq.paths, par.paths);
-  EXPECT_EQ(seq.stats.paths_yielded, par.stats.paths_yielded);
-  EXPECT_EQ(seq.stats.steps_expanded, par.stats.steps_expanded);
-  EXPECT_EQ(seq.stats.bytes_charged, par.stats.bytes_charged);
-  EXPECT_EQ(seq.stats.truncated, par.stats.truncated);
+// The governed batch's reference: candidates judged one by one, in
+// canonical order, by governed Recognize calls on one context until one
+// trips; each judged candidate is kept on its ungoverned verdict.
+BatchOutcome JudgeOneByOne(const NfaRecognizer& nfa, const PathSet& candidates,
+                           const ExecLimits& limits) {
+  ExecContext ctx(limits);
+  BatchOutcome out;
+  std::vector<Path> kept;
+  for (const Path& p : candidates) {
+    Result<bool> judged = nfa.Recognize(p, ctx);
+    if (!judged.ok()) {
+      out.truncated = true;
+      out.limit = judged.status();
+      break;
+    }
+    if (nfa.Recognize(p)) kept.push_back(p);
+  }
+  out.paths = PathSet::FromSortedUnique(std::move(kept));
+  out.stats = ctx.Snapshot();
+  return out;
+}
+
+void ExpectBatchIdentical(const BatchOutcome& expected,
+                          const BatchOutcome& actual) {
+  EXPECT_EQ(expected.truncated, actual.truncated);
+  EXPECT_EQ(expected.limit, actual.limit)
+      << "expected: " << expected.limit << " actual: " << actual.limit;
+  EXPECT_EQ(expected.paths, actual.paths);
+  EXPECT_EQ(expected.stats.paths_yielded, actual.stats.paths_yielded);
+  EXPECT_EQ(expected.stats.steps_expanded, actual.stats.steps_expanded);
+  EXPECT_EQ(expected.stats.bytes_charged, actual.stats.bytes_charged);
+  EXPECT_EQ(expected.stats.truncated, actual.stats.truncated);
 }
 
 class RecognizerDifferentialTest : public ::testing::TestWithParam<uint64_t> {
- protected:
-  RecognizerDifferentialTest() : pool1_(1), pool2_(2), pool8_(8) {}
-
-  std::vector<ThreadPool*> Pools() { return {&pool1_, &pool2_, &pool8_}; }
-
-  ThreadPool pool1_;
-  ThreadPool pool2_;
-  ThreadPool pool8_;
 };
 
 // NFA simulation vs Brzozowski derivation: same verdict on every joint
@@ -204,8 +219,8 @@ TEST_P(RecognizerDifferentialTest, GovernedVerdictsAgreeOrTrip) {
   }
 }
 
-// The ungoverned batch filter is pool-invariant.
-TEST_P(RecognizerDifferentialTest, AcceptedSubsetPoolInvariant) {
+// The ungoverned batch filter keeps exactly the accepted candidates.
+TEST_P(RecognizerDifferentialTest, AcceptedSubsetMatchesRecognize) {
   Rng rng(GetParam() * 0xda942042e4dd58b5ULL + 13);
   for (int c = 0; c < 4; ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
@@ -216,18 +231,19 @@ TEST_P(RecognizerDifferentialTest, AcceptedSubsetPoolInvariant) {
     Result<NfaRecognizer> nfa = NfaRecognizer::Compile(*expr);
     ASSERT_TRUE(nfa.ok());
 
-    PathSet sequential = nfa->AcceptedSubset(candidates);
-    for (ThreadPool* pool : Pools()) {
-      EXPECT_EQ(sequential, nfa->AcceptedSubset(candidates, pool));
+    std::vector<Path> accepted;
+    for (const Path& p : candidates) {
+      if (nfa->Recognize(p)) accepted.push_back(p);
     }
+    EXPECT_EQ(nfa->AcceptedSubset(candidates),
+              PathSet::FromSortedUnique(std::move(accepted)));
   }
 }
 
-// The governed batch filter: parallel speculation + replay must be
-// byte-identical to the sequential scan — accepted set, truncation point,
-// limit status, counters — for unlimited runs, random step budgets, and
-// injected faults alike.
-TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedByteIdentity) {
+// The governed batch filter equals judging the candidates one by one —
+// accepted set, truncation point, limit status, counters — for unlimited
+// runs, random step budgets, and injected faults alike.
+TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedMatchesOneByOne) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 21);
   for (int c = 0; c < 4; ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
@@ -241,8 +257,7 @@ TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedByteIdentity) {
 
     // Probe for the full scan cost; budgets are drawn inside it so trips
     // land at interior candidates.
-    BatchOutcome probe =
-        RunBatch(*nfa, candidates, ExecLimits::Unlimited(), nullptr);
+    BatchOutcome probe = RunBatch(*nfa, candidates, ExecLimits::Unlimited());
     ASSERT_FALSE(probe.truncated);
     const size_t steps = probe.stats.steps_expanded;
 
@@ -255,27 +270,22 @@ TEST_P(RecognizerDifferentialTest, AcceptedSubsetGovernedByteIdentity) {
     }
     for (size_t r = 0; r < regimes.size(); ++r) {
       SCOPED_TRACE("regime " + std::to_string(r));
-      BatchOutcome seq = RunBatch(*nfa, candidates, regimes[r], nullptr);
-      for (ThreadPool* pool : Pools()) {
-        SCOPED_TRACE("threads " + std::to_string(pool->num_threads()));
-        ExpectBatchIdentical(seq, RunBatch(*nfa, candidates, regimes[r], pool));
-      }
+      ExpectBatchIdentical(JudgeOneByOne(*nfa, candidates, regimes[r]),
+                           RunBatch(*nfa, candidates, regimes[r]));
     }
 
     if (steps > 0) {
+      SCOPED_TRACE("fault");
       const uint64_t nth = rng.Between(1, steps);
       const Status injected = Status::DeadlineExceeded("injected nfa fault");
-      BatchOutcome seq;
+      BatchOutcome expected;
       {
         ScopedFault fault(kFaultSiteBudgetCheck, nth, injected);
-        seq = RunBatch(*nfa, candidates, ExecLimits::Unlimited(), nullptr);
+        expected = JudgeOneByOne(*nfa, candidates, ExecLimits::Unlimited());
       }
-      for (ThreadPool* pool : Pools()) {
-        SCOPED_TRACE("fault, threads " + std::to_string(pool->num_threads()));
-        ScopedFault fault(kFaultSiteBudgetCheck, nth, injected);
-        ExpectBatchIdentical(
-            seq, RunBatch(*nfa, candidates, ExecLimits::Unlimited(), pool));
-      }
+      ScopedFault fault(kFaultSiteBudgetCheck, nth, injected);
+      ExpectBatchIdentical(
+          expected, RunBatch(*nfa, candidates, ExecLimits::Unlimited()));
     }
   }
 }

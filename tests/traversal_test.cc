@@ -189,16 +189,6 @@ TEST(TraverseTest, EmptySpecYieldsEpsilon) {
   EXPECT_EQ(result.value(), PathSet::EpsilonSet());
 }
 
-TEST(TraverseTest, LimitsEnforced) {
-  auto lattice = GenerateLattice({.width = 6, .height = 6});
-  ASSERT_TRUE(lattice.ok());
-  TraversalSpec spec;
-  spec.steps = std::vector<EdgePattern>(4, EdgePattern::Any());
-  spec.limits = PathSetLimits::AtMost(3);
-  auto result = Traverse(*lattice, spec);
-  EXPECT_TRUE(result.status().IsResourceExhausted());
-}
-
 TEST(LatticeCountTest, CornerToCornerPathsAreBinomial) {
   // On a w×h lattice, joint monotone paths corner to corner number
   // C(w-1 + h-1, w-1).
